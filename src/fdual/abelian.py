@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -289,9 +289,6 @@ class PairingMatrix:
                 total += xi * sum(e * yj for e, yj in zip(row, y))
         return total % m
 
-    def exponent_index(self, ti: int, xi: int) -> int:
-        return self.exponent(self.spec.element(ti), self.spec.element(xi))
-
     @cached_property
     def is_nondegenerate(self) -> bool:
         """True iff x -> B(x, .) has trivial kernel (scan over G, gens suffice)."""
@@ -380,6 +377,11 @@ class AutomorphismGroup:
     def __iter__(self) -> Iterator[Automorphism]:
         for i in range(len(self)):
             yield self[i]
+
+    @cached_property
+    def reducer(self) -> "AffineReducer":
+        """Affine canonical forms over this group, built once and shared."""
+        return AffineReducer(self.spec, self)
 
 
 @lru_cache(maxsize=None)
@@ -574,96 +576,141 @@ def pairing_from_automorphism(base: PairingMatrix, alpha: Automorphism) -> Pairi
 # ---------------------------------------------------------------------------
 
 
-class AffineReducer:
-    """Orbit-minimum machinery for subsets under automorphisms + translations.
+class _ChainLevel(NamedTuple):
+    """One link of a point-stabilizer chain of Aut(G).
 
-    The canonical form of a set S is the lexicographically smallest sorted
-    index list among { pi(S) - v : pi in auts, v in pi(S) } (so every image
-    contains 0).  With the full automorphism group this is constant on
-    affine orbits; with a partial list it is still idempotent because the
-    reduction iterates to a fixpoint.
+    ``auts`` holds the rows of the automorphism table that fix the level's
+    prefix pointwise.  ``om[g]`` is the least element of g's orbit under
+    them, and the table row starting at flat offset ``rho[g]`` sends g
+    there.  ``om`` is |G| at 0 and at the prefix, so matched elements never
+    count as a smallest next element.  Both are None once only the identity
+    is left.
     """
 
-    def __init__(self, spec: GroupSpec, auts: AutomorphismGroup | Sequence[Automorphism]):
+    auts: np.ndarray
+    om: np.ndarray | None
+    rho: np.ndarray | None
+
+
+class AffineReducer:
+    """Orbit minima of subsets under automorphisms composed with translations.
+
+    The canonical form of a set S is the lexicographically smallest sorted
+    index tuple among { pi(S) - v : pi in Aut(G), v in pi(S) }, so every
+    image contains 0.  As pi(S) - pi(u) = pi(S - u), these are the
+    automorphic images of the |S| translates S - u with u in S.
+
+    Both methods walk a chain of point stabilizers Aut(G) = S_0 > S_1 > ...
+    along a prefix (x1, x2, ...), where S_L fixes x1..xL pointwise (Sims'
+    stabilizer chain, as in orderly generation).  The walk starts from the
+    translates.  At level L the least next element any image can take is
+    the least S_L-orbit minimum among the unmatched elements of the rows;
+    only the rows attaining it go on, each mapped by one element of S_L that
+    puts it in place.  Once S_L is the identity alone, the rows are the
+    images themselves and are compared as sorted lists.  Levels are built
+    on first use and cached by prefix, which the depth-first search shares
+    between neighbouring nodes.
+
+    A capped automorphism list is not a group, and a chain over it would be
+    wrong.  The reducer then uses the identity alone, so the orbit is the
+    translation orbit: exact for that group and sound for pruning, though
+    equivalent sets may get different forms.
+    """
+
+    # prefixes kept in the level cache before it is emptied
+    MAX_CACHED_LEVELS = 1 << 14
+
+    def __init__(self, spec: GroupSpec, auts: AutomorphismGroup):
+        if auts.spec != spec:
+            raise ValueError("automorphism group belongs to a different group spec")
         self.spec = spec
-        if isinstance(auts, AutomorphismGroup):
-            tables = np.asarray(auts.tables, dtype=np.int16)
+        if auts.complete:
+            self.tables = auts.tables
         else:
-            tables = np.array([a.table for a in auts], dtype=np.int16)
-            if tables.ndim != 2 or tables.shape[1] != spec.order:
-                raise ValueError("automorphism tables must have one row per element")
-        identity = np.arange(spec.order, dtype=np.int16)
-        if not (tables == identity).all(axis=1).any():
-            tables = np.vstack([identity[None, :], tables])
-        self.tables = tables
-        self.sub = _sub_table(spec)
-        # single-word bitmask lane for |G| <= 64 (see is_canonical)
-        if spec.order <= 64:
-            self._bit = np.uint64(1) << np.arange(spec.order, dtype=np.uint64)
-        else:
-            self._bit = None
+            self.tables = np.arange(spec.order, dtype=np.int16)[None, :]
+        self._flat = self.tables.ravel()
+        self._sub = _sub_table(spec)
+        self._root = self._make_level(np.arange(len(self.tables)), self.tables, ())
+        self._levels: dict[tuple[int, ...], _ChainLevel] = {}
 
-    def _orbit_images(self, idx: np.ndarray) -> np.ndarray:
-        """All translated automorphic images containing 0, sorted rows."""
-        images = self.tables[:, idx]  # (A, d)
-        # entry [a, j, i] = index(pi_a(x_i) - pi_a(x_j))
-        shifted = self.sub[images[:, :, None], images[:, None, :]]
-        cand = np.sort(shifted, axis=2)
-        return cand.reshape(-1, idx.shape[0])
+    def _make_level(
+        self, auts: np.ndarray, block: np.ndarray, prefix: tuple[int, ...]
+    ) -> _ChainLevel:
+        """Level over the automorphisms ``auts`` whose tables are ``block``."""
+        if len(auts) == 1:
+            return _ChainLevel(auts, None, None)
+        n = self.spec.order
+        om = block.min(axis=0)
+        rho = auts[block.argmin(axis=0)] * n
+        om[[0, *prefix]] = n
+        return _ChainLevel(auts, om, rho)
 
-    @staticmethod
-    def _rows_less_than(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        diff = rows.astype(np.int32) - ref.astype(np.int32)[None, :]
-        nonzero = diff != 0
-        first = np.argmax(nonzero, axis=1)
-        has = nonzero.any(axis=1)
-        vals = diff[np.arange(rows.shape[0]), first]
-        return has & (vals < 0)
+    def _level(self, prefix: tuple[int, ...]) -> _ChainLevel:
+        """The chain level fixing ``prefix``, built from its parent on first use."""
+        if not prefix:
+            return self._root
+        level = self._levels.get(prefix)
+        if level is None:
+            parent = self._level(prefix[:-1])
+            x = prefix[-1]
+            auts = parent.auts[self.tables[parent.auts, x] == x]
+            level = self._make_level(auts, self.tables[auts], prefix)
+            if len(self._levels) >= self.MAX_CACHED_LEVELS:
+                self._levels.clear()
+            self._levels[prefix] = level
+        return level
+
+    def _advance(
+        self, level: _ChainLevel, rows: np.ndarray, om: np.ndarray, target: int
+    ) -> np.ndarray:
+        """Rows whose next element can be ``target``, mapped so that it is."""
+        hit = np.flatnonzero(om == target)
+        kept = rows.take(hit // rows.shape[1], axis=0)
+        return self._flat[level.rho[rows.ravel()[hit]][:, None] + kept]
 
     def is_canonical(self, indices: Sequence[int]) -> bool:
-        """True iff no image in the (single-pass) orbit is lexicographically smaller.
+        """True iff the sorted index list is its own canonical form.
 
-        Hot path of the search pruning.  For equal-size sets, sorted-list
-        lexicographic order coincides with "which set owns the smallest
-        element where they differ", so for |G| <= 64 each image is packed
-        into one uint64 and the comparison is pure bit arithmetic, no
-        sorting.  Larger groups fall back to sorting the image rows.
+        Hot path of the search pruning: the walk follows the list's own
+        prefix and stops at the first level where some image can take a
+        smaller next element.
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        d = idx.shape[0]
-        if d == 1:
-            return int(idx[0]) == 0
-        images = self.tables[:, idx]  # (A, d)
-        shifted = self.sub[images[:, :, None], images[:, None, :]]  # (A, d, d)
-        if self._bit is not None:
-            masks = np.bitwise_or.reduce(self._bit[shifted], axis=2)
-            ref = np.uint64(np.bitwise_or.reduce(self._bit[idx]))
-            diff = masks ^ ref
-            lowest = diff & (~diff + np.uint64(1))
-            smaller = (lowest & masks) != 0
-            return not bool(smaller.any())
-        cand = np.sort(shifted, axis=2).reshape(-1, d)
-        return not bool(self._rows_less_than(cand, idx).any())
+        node = list(map(int, indices))
+        if node[0] != 0:
+            return False
+        x = np.array(node)
+        rows = self._sub[x[:, None], x]
+        for depth in range(1, len(node)):
+            level = self._level(tuple(node[1:depth]))
+            if level.om is None:
+                return min(np.sort(rows, axis=1).tolist()) >= node
+            om = level.om[rows]
+            target = node[depth]
+            if om.min() < target:
+                return False
+            rows = self._advance(level, rows, om, target)
+        return True
 
     def canonical_form(self, indices: Sequence[int]) -> tuple[int, ...]:
-        """Lexicographic orbit minimum, iterated to a fixpoint."""
-        cur = np.sort(np.asarray(indices, dtype=np.int64))
-        while True:
-            cand = self._orbit_images(cur)
-            order = np.lexsort(cand.T[::-1])
-            best = cand[order[0]].astype(np.int64)
-            if (best == cur).all():
-                return tuple(int(v) for v in cur)
-            cur = best
+        """Lexicographic orbit minimum; one walk, since the orbit is a group orbit."""
+        s = np.array(sorted(set(map(int, indices))))
+        rows = self._sub[s[:, None], s]
+        prefix: tuple[int, ...] = ()
+        for _ in range(1, len(s)):
+            level = self._level(prefix)
+            if level.om is None:
+                break
+            om = level.om[rows]
+            target = int(om.min())
+            rows = self._advance(level, rows, om, target)
+            prefix += (target,)
+        return tuple(min(np.sort(rows, axis=1).tolist()))
 
 
 def affine_canonical_form(
-    spec: GroupSpec,
-    s: ElementSet,
-    auts: AutomorphismGroup | Sequence[Automorphism],
+    spec: GroupSpec, s: ElementSet, auts: AutomorphismGroup
 ) -> ElementSet:
     """Canonical representative of the affine orbit of a nonempty set."""
     if not s:
         raise ValueError("canonical form of the empty set is undefined")
-    reducer = AffineReducer(spec, auts)
-    return ElementSet.from_indices(reducer.canonical_form(s.indices))
+    return ElementSet.from_indices(auts.reducer.canonical_form(s.indices))

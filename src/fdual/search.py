@@ -10,7 +10,12 @@ set.  Deleting the largest element of an orbit-minimal set leaves an
 orbit-minimal set, so every orbit's minimal representative survives this
 pruning all the way down: completeness is a theorem about the canonical
 form, not a hope, and is additionally tested against no-symmetry brute
-force on small groups.
+force on small groups.  The minimality test walks a chain of point
+stabilizers of Aut(G) along the node's own prefix (see
+:class:`fdual.abelian.AffineReducer`) rather than scanning every
+automorphism.  When the Aut(G) enumeration was capped, the orbit is the
+translation orbit alone: still complete, but equivalent orbits may be
+reported separately, and the run says so in its caveats.
 
 Leaves are screened with a vectorized float spectrum first (prune only when
 the exact identity certainly fails), then canonically gated, then handed to
@@ -36,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from .abelian import (
-    AffineReducer,
     AutomorphismGroup,
     ElementSet,
     GroupSpec,
@@ -240,8 +244,7 @@ class _SearchContext:
         exponents = (coords @ entries @ coords.T) % spec.exponent
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
         self.auts = automorphism_group(spec)
-        self.reducer = AffineReducer(spec, self.auts)
-        self.sub = _sub_table(spec)
+        self.reducer = self.auts.reducer
 
 
 @lru_cache(maxsize=8)
@@ -597,15 +600,26 @@ def _load_checkpoint(path: str) -> CheckpointRecord:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
-    """Remaining tasks after a checkpoint; refuses on config-hash mismatch."""
+def _resume_from(path: str, config: SearchConfig) -> CheckpointRecord:
+    """The checkpoint at path, refused unless this version wrote it for config."""
     record = _load_checkpoint(path)
+    if record.version != __version__:
+        raise CheckpointError(
+            f"checkpoint was written by fdual {record.version}, this is "
+            f"{__version__}; refusing to resume"
+        )
     if record.config_hash != config.config_hash():
         raise CheckpointError(
             "checkpoint was written by a different search configuration "
-            f"(hash {record.config_hash[:12]}... != {config.config_hash()[:12]}...)"
+            f"(hash {record.config_hash[:12]}... != {config.config_hash()[:12]}...); "
+            "refusing to resume"
         )
-    done = set(record.completed)
+    return record
+
+
+def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
+    """Remaining tasks after a checkpoint; refuses on a version or config-hash mismatch."""
+    done = set(_resume_from(path, config).completed)
     return [t for t in enumerate_tasks(config) if t not in done]
 
 
@@ -665,12 +679,7 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     hit_dicts: list[dict] = []
     done: set[tuple[int, ...]] = set()
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        record = _load_checkpoint(config.checkpoint_path)
-        if record.config_hash != config.config_hash():
-            raise CheckpointError(
-                "checkpoint was written by a different search configuration; "
-                "refusing to resume"
-            )
+        record = _resume_from(config.checkpoint_path, config)
         done = set(record.completed)
         completed_stats.merge_counts(record.stats)
         hit_dicts = list(record.hits)

@@ -3,7 +3,9 @@
 The float oracle below verifies the duality identities by direct complex
 summation with cmath and never touches the package's exact machinery, so
 agreement between the two is meaningful evidence.  The brute-force helpers
-enumerate subsets or subgroups with no symmetry reduction at all.
+enumerate subsets or subgroups with no symmetry reduction at all, and the
+affine-orbit scan compares every image under every automorphism and
+translation, which the stabilizer-chain canonical forms are tested against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import cmath
 import itertools
 from collections import Counter
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
+
+import numpy as np
 
 
 def _lcm_all(values):
@@ -142,6 +147,68 @@ def exact_pair_classes(spec, size):
                 classes.add(affine_canonical_form(spec, s, auts).indices)
                 break
     return classes
+
+
+# ---------------------------------------------------------------------------
+# affine-orbit scan: every automorphism, every translate
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _difference_table(orders):
+    """(N, N) table with entry [v, x] = index(x - v), last coordinate fastest."""
+    coords = np.array(_elements(orders), dtype=np.int64)
+    weights = np.array([prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    diff = ((coords[None, :, :] - coords[:, None, :]) % np.array(orders)) @ weights
+    return diff.astype(np.int16)
+
+
+def affine_images(orders, tables, indices):
+    """Every pi(S) - v with pi a row of ``tables`` and v in pi(S), as sorted
+    rows: the scan over all |auts| x |S| images."""
+    sub = _difference_table(tuple(orders))
+    images = np.asarray(tables)[:, list(indices)]
+    shifted = sub[images[:, :, None], images[:, None, :]]
+    return np.sort(shifted, axis=2).reshape(-1, len(indices))
+
+
+def _lex_min(rows):
+    for j in range(rows.shape[1]):
+        rows = rows[rows[:, j] == rows[:, j].min()]
+    return tuple(int(v) for v in rows[0])
+
+
+def scan_is_canonical(orders, tables, indices):
+    """No image of the sorted index list is lexicographically smaller."""
+    return _lex_min(affine_images(orders, tables, indices)) >= tuple(indices)
+
+
+def scan_canonical_form(orders, tables, indices):
+    """Lexicographic minimum over all images, iterated to a fixpoint."""
+    cur = tuple(sorted(indices))
+    while True:
+        best = _lex_min(affine_images(orders, tables, cur))
+        if best == cur:
+            return cur
+        cur = best
+
+
+def scan_forms_by_orbit(orders, tables, size):
+    """Canonical form of every size-subset containing 0, for a complete group.
+
+    The subsets are swept in lexicographic order.  The first one not yet
+    assigned is the minimum of its orbit, and the scan of its images assigns
+    it to every image: one scan per orbit instead of one per subset.
+    """
+    form = {}
+    for rest in itertools.combinations(range(1, prod(orders)), size - 1):
+        node = (0,) + rest
+        if node in form:
+            continue
+        images = set(map(tuple, affine_images(orders, tables, node).tolist()))
+        assert min(images) == node and not images & form.keys()
+        form.update(dict.fromkeys(images, node))
+    return form
 
 
 # ---------------------------------------------------------------------------

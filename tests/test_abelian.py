@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from fdual.abelian import (
@@ -18,6 +19,13 @@ from fdual.abelian import (
     standard_pairing,
     subgroup_generated,
     translate,
+)
+
+from oracles import (
+    abelian_group_orders,
+    scan_canonical_form,
+    scan_forms_by_orbit,
+    scan_is_canonical,
 )
 
 Z4 = GroupSpec((4,))
@@ -330,3 +338,59 @@ class TestCanonicalForm:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             affine_canonical_form(Z4, ElementSet(), automorphism_group(Z4))
+
+
+class TestStabilizerChain:
+    """The chain walk against the scan over every automorphism and translate."""
+
+    @pytest.mark.parametrize("orders", abelian_group_orders(16))
+    def test_every_small_node_matches_scan(self, orders):
+        spec = GroupSpec(orders)
+        auts = automorphism_group(spec)
+        assert auts.complete
+        reducer = AffineReducer(spec, auts)
+        for size in range(1, min(6, spec.order) + 1):
+            form = scan_forms_by_orbit(orders, auts.tables, size)
+            for node, canon in form.items():
+                assert reducer.canonical_form(node) == canon, (orders, node)
+                assert reducer.is_canonical(node) == (node == canon), (orders, node)
+
+    @pytest.mark.parametrize("orders,count", [((2, 2, 4, 4), 3), ((8, 8), 12), ((7, 7), 12)])
+    def test_random_size8_nodes_match_scan(self, orders, count):
+        spec = GroupSpec(orders)
+        auts = automorphism_group(spec)
+        reducer = AffineReducer(spec, auts)
+        rng = random.Random(sum(orders))
+        for _ in range(count):
+            node = (0, *sorted(rng.sample(range(1, spec.order), 7)))
+            canon = scan_canonical_form(orders, auts.tables, node)
+            assert reducer.canonical_form(node) == canon
+            for probe in (node, canon):
+                assert reducer.is_canonical(probe) == scan_is_canonical(orders, auts.tables, probe)
+
+    def test_capped_list_reduces_under_translations_only(self):
+        spec = GroupSpec((2, 4))
+        capped = automorphism_group(spec, cap=2)
+        assert not capped.complete
+        reducer = AffineReducer(spec, capped)
+        translations = np.arange(spec.order, dtype=np.int16)[None, :]
+        rng = random.Random(43)
+        for size in range(1, 6):
+            for _ in range(10):
+                s = rng.sample(range(spec.order), size)
+                canon = reducer.canonical_form(s)
+                assert canon == scan_canonical_form(spec.orders, translations, s)
+                assert reducer.canonical_form(canon) == canon
+                assert reducer.is_canonical(canon)
+        # (1, 0) and (1, 2) are one Aut-orbit, so {0, 4} and {0, 6} are one
+        # affine orbit but two translation orbits
+        assert reducer.canonical_form([0, 6]) == (0, 6)
+        assert automorphism_group(spec).reducer.canonical_form([0, 6]) == (0, 4)
+
+    def test_reducer_needs_its_own_group(self):
+        with pytest.raises(ValueError):
+            AffineReducer(Z4, automorphism_group(Z2Z4))
+
+    def test_reducer_built_once_per_group(self):
+        auts = automorphism_group(Z2Z4)
+        assert auts.reducer is auts.reducer

@@ -184,6 +184,24 @@ class TestLeafTests:
         assert canon in {affine_canonical_form(order64_spec, c.s, auts).indices for c in hits}
 
 
+class TestPaperResults:
+    def test_theorem21_search_is_complete(self, order64_spec, order64_set):
+        # the full Z2^2 x Z4^2 size-8 self-dual search, not budget-stopped:
+        # the paper's set is among its classes and every certificate re-verifies
+        cfg = SearchConfig(spec=order64_spec, target_size=8, mode="self_dual", symmetry="affine")
+        result = run_search(cfg)
+        assert result.complete and not result.caveats
+        canon = automorphism_group(order64_spec).reducer.canonical_form(order64_set.indices)
+        assert canon == (0, 1, 2, 4, 9, 16, 32, 62)
+        assert canon in {c.s.indices for c in result.certificates}
+        for cert in result.certificates:
+            ok, problems = verify_certificate(cert)
+            assert ok, problems
+        _assert_stats_sane(result.stats)
+        print(f"Theorem 2.1 search: {result.stats.nodes_visited} nodes, "
+              f"{len(result.certificates)} orbit classes")
+
+
 class TestGroundTruthSmallGroups:
     def test_z4_exactly_one_class(self):
         cfg = SearchConfig(spec=Z4, target_size=2, mode="pair", symmetry="affine", frontier_depth=1)
@@ -363,6 +381,19 @@ class TestCheckpointing:
         cfg_ck = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine",
                               frontier_depth=2, checkpoint_path=path)
         with pytest.raises(CheckpointError):
+            run_search(cfg_ck)
+
+    def test_version_mismatch_refused(self, tmp_path):
+        cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
+        path = str(tmp_path / "ck.json")
+        checkpoint_save(path, CheckpointRecord(
+            config_hash=cfg.config_hash(), completed=[], stats=SearchStats(), hits=[],
+            version="0.0.0-other"))
+        with pytest.raises(CheckpointError, match="0.0.0-other"):
+            checkpoint_resume(path, cfg)
+        cfg_ck = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine",
+                              frontier_depth=2, checkpoint_path=path)
+        with pytest.raises(CheckpointError, match="0.0.0-other"):
             run_search(cfg_ck)
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
