@@ -600,7 +600,7 @@ class AffineReducer:
     image contains 0.  As pi(S) - pi(u) = pi(S - u), these are the
     automorphic images of the |S| translates S - u with u in S.
 
-    Both methods walk a chain of point stabilizers Aut(G) = S_0 > S_1 > ...
+    Both walks go down a chain of point stabilizers Aut(G) = S_0 > S_1 > ...
     along a prefix (x1, x2, ...), where S_L fixes x1..xL pointwise (Sims'
     stabilizer chain, as in orderly generation).  The walk starts from the
     translates.  At level L the least next element any image can take is
@@ -610,6 +610,12 @@ class AffineReducer:
     images themselves and are compared as sorted lists.  Levels are built
     on first use and cached by prefix, which the depth-first search shares
     between neighbouring nodes.
+
+    ``canonical_children`` tests all one-element extensions of a node in a
+    single walk: their prefixes are the node's, so they share every level,
+    and the rows of all of them go down together.  ``is_canonical`` is that
+    walk with one child.  ``canonical_form`` takes the same chain, choosing
+    the minimum at each level.
 
     A capped automorphism list is not a group, and a chain over it would be
     wrong.  The reducer then uses the identity alone, so the orbit is the
@@ -661,35 +667,70 @@ class AffineReducer:
         return level
 
     def _advance(
-        self, level: _ChainLevel, rows: np.ndarray, om: np.ndarray, target: int
-    ) -> np.ndarray:
-        """Rows whose next element can be ``target``, mapped so that it is."""
+        self, level: _ChainLevel, rows: np.ndarray, om: np.ndarray, target: int | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows whose next element can be ``target``, mapped so that it is,
+        and the index of the row each came from.  ``target`` is one value or
+        a column with one value per row."""
         hit = np.flatnonzero(om == target)
-        kept = rows.take(hit // rows.shape[1], axis=0)
-        return self._flat[level.rho[rows.ravel()[hit]][:, None] + kept]
+        src = hit // rows.shape[1]
+        kept = rows.take(src, axis=0)
+        return self._flat[level.rho[rows.ravel()[hit]][:, None] + kept], src
 
     def is_canonical(self, indices: Sequence[int]) -> bool:
-        """True iff the sorted index list is its own canonical form.
-
-        Hot path of the search pruning: the walk follows the list's own
-        prefix and stops at the first level where some image can take a
-        smaller next element.
-        """
+        """True iff the sorted index list is its own canonical form."""
         node = list(map(int, indices))
-        if node[0] != 0:
-            return False
-        x = np.array(node)
-        rows = self._sub[x[:, None], x]
-        for depth in range(1, len(node)):
+        return bool(self.canonical_children(node[:-1], node[-1:])[0])
+
+    def canonical_children(self, node: Sequence[int], cands: Sequence[int]) -> np.ndarray:
+        """Boolean array equal to ``[is_canonical(node + [y]) for y in cands]``.
+
+        Hot path of the search pruning.  All children of a node walk the
+        chain levels of its prefix, so the walk goes down once with the
+        translate rows of every child stacked and ``sib`` naming the child
+        of each row.  At each level a child drops out when one of its rows
+        can take a smaller next element than the child's own; the rows of
+        the others that attain it go on.  At the identity level each
+        child's rows are compared with it as sorted lists.
+        """
+        node = list(map(int, node))
+        ys = np.asarray(cands, dtype=np.intp)
+        if not node:
+            return ys == 0
+        out = np.zeros(len(ys), dtype=bool)
+        if node[0] != 0 or not len(ys):
+            return out
+        d = len(node)
+        kids = np.empty((len(ys), d + 1), dtype=np.intp)
+        kids[:, :d] = node
+        kids[:, d] = ys
+        rows = self._sub[kids[:, :, None], kids[:, None, :]].reshape(-1, d + 1)
+        sib = np.repeat(np.arange(len(ys)), d + 1)
+        for depth in range(1, d + 1):
             level = self._level(tuple(node[1:depth]))
             if level.om is None:
-                return min(np.sort(rows, axis=1).tolist()) >= node
+                images = np.sort(rows, axis=1)
+                ref = kids[sib]
+                first = (images != ref).argmax(axis=1)
+                smaller = (images < ref)[np.arange(len(sib)), first]
+                out[sib] = True
+                out[sib[smaller]] = False
+                return out
             om = level.om[rows]
-            target = node[depth]
-            if om.min() < target:
-                return False
-            rows = self._advance(level, rows, om, target)
-        return True
+            target = kids[sib, depth][:, None]
+            low = om.min(axis=1) < target[:, 0]
+            if low.any():
+                dead = np.zeros(len(ys), dtype=bool)
+                dead[sib[low]] = True
+                keep = ~dead[sib]
+                rows, om, target, sib = rows[keep], om[keep], target[keep], sib[keep]
+                if not len(sib):
+                    return out
+            if depth < d:
+                rows, src = self._advance(level, rows, om, target)
+                sib = sib[src]
+        out[sib] = True
+        return out
 
     def canonical_form(self, indices: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic orbit minimum; one walk, since the orbit is a group orbit."""
@@ -702,7 +743,7 @@ class AffineReducer:
                 break
             om = level.om[rows]
             target = int(om.min())
-            rows = self._advance(level, rows, om, target)
+            rows, _ = self._advance(level, rows, om, target)
             prefix += (target,)
         return tuple(min(np.sort(rows, axis=1).tolist()))
 

@@ -238,19 +238,21 @@ def _cmd_primitive(args) -> int:
 
 
 def _parse_budget(text: str) -> int:
-    """Accept 1000000, 10^6 and 1e6 spellings."""
+    """Accept 1000000, 10^6 and 1e6 spellings of a whole number."""
     text = text.strip()
     try:
         if "^" in text:
-            base, exp = text.split("^", 1)
-            return int(base) ** int(exp)
+            base, exp = (int(part) for part in text.split("^", 1))
+            if exp < 0:
+                raise ValueError
+            return base ** exp
         if "e" in text.lower():
             value = float(text)
             if value != int(value):
                 raise ValueError
             return int(value)
         return int(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"cannot parse budget {text!r}") from exc
 
 
@@ -263,16 +265,21 @@ def _parse_group(text: str) -> GroupSpec:
 
 
 def _default_jobs() -> int:
+    """Worker count from FD_THREADS, 1 when it is unset or empty."""
     env = os.environ.get("FD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+        if jobs < 1:
+            raise ValueError
+    except ValueError:
+        raise InputError(f"FD_THREADS must be an integer >= 1, got {env!r}") from None
+    return jobs
 
 
 def _cmd_search(args) -> int:
+    jobs = _default_jobs() if args.jobs is None else args.jobs
     spec = _parse_group(args.group)
     mode = args.mode.replace("-", "_")
     try:
@@ -290,7 +297,7 @@ def _cmd_search(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_search(config, jobs=args.jobs)
+    result = run_search(config, jobs=jobs)
 
     for i, cert in enumerate(result.certificates):
         _write_json(str(out_dir / f"cert_{i:04d}.json"), cert.to_dict())
@@ -352,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", required=True, type=int)
     p.add_argument("--mode", default="pair", choices=["pair", "self_dual", "self-dual"])
     p.add_argument("--symmetry", default="affine", choices=["none", "translation", "affine"])
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: env FD_THREADS, else 1)")
     p.add_argument("--budget", default=None, help="node limit, e.g. 10^6")
     p.add_argument("--frontier-depth", type=int, default=None)
     p.add_argument("--checkpoint", default=None)

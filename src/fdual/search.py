@@ -13,14 +13,18 @@ form, not a hope, and is additionally tested against no-symmetry brute
 force on small groups.  The minimality test walks a chain of point
 stabilizers of Aut(G) along the node's own prefix (see
 :class:`fdual.abelian.AffineReducer`) rather than scanning every
-automorphism.  When the Aut(G) enumeration was capped, the orbit is the
-translation orbit alone: still complete, but equivalent orbits may be
-reported separately, and the run says so in its caveats.
+automorphism, and one walk tests all children of a node.  When the Aut(G)
+enumeration was capped, the orbit is the translation orbit alone: still
+complete, but equivalent orbits may be reported separately, and the run
+says so in its caveats.
 
 Leaves are screened with a vectorized float spectrum first (prune only when
 the exact identity certainly fails), then canonically gated, then handed to
-the exact leaf test.  Every emitted certificate has passed the exact
-integer check and primitivity for both sets.
+the exact leaf test.  Below a node of depth size - 2 the last two levels
+form one screen over every leaf pair the budget allows, so the per-node
+work of the two deepest levels is one call per node.  Every emitted
+certificate has passed the exact integer check and primitivity for both
+sets.
 
 Budget stops are loud: a budget-terminated run is flagged incomplete and
 never claims non-existence.
@@ -413,6 +417,15 @@ def screen_partial(config: SearchConfig, node: Sequence[int]) -> bool:
     return True
 
 
+def _canonical_mask(
+    config: SearchConfig, ctx: _SearchContext, node: list[int], xs: range
+) -> list[bool]:
+    """Which children node + [x], x in xs, survive symmetry pruning."""
+    if config.symmetry != "affine":
+        return [True] * len(xs)
+    return ctx.reducer.canonical_children(node, xs).tolist()
+
+
 def _enumerate_frontier(
     config: SearchConfig, ctx: _SearchContext, stats: SearchStats, budget: _Budget | None
 ) -> list[tuple[int, ...]]:
@@ -423,30 +436,75 @@ def _enumerate_frontier(
     """
     out: list[tuple[int, ...]] = []
     n = ctx.n
-    affine = config.symmetry == "affine"
     roots = range(n) if config.symmetry == "none" else range(1)
 
-    def visit(node: list[int]) -> None:
+    def visit(node: list[int], canonical: bool) -> None:
         if budget is not None:
             budget.drain(1)
         stats.nodes_visited += 1
-        if affine and len(node) > 1 and not ctx.reducer.is_canonical(node):
+        if not canonical:
             stats.pruned_by_symmetry += 1
             return
         if len(node) == config.frontier_depth:
             out.append(tuple(node))
             return
-        for x in range(node[-1] + 1, n):
-            visit(node + [x])
+        xs = range(node[-1] + 1, n)
+        for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs)):
+            visit(node + [x], ok)
 
     for r in roots:
-        visit([r])
+        visit([r], True)
     return out
 
 
 def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
     """Public view of the frontier task list (order is part of the contract)."""
     return _enumerate_frontier(config, _context(config.spec), SearchStats(), None)
+
+
+# leaf columns per float-screen call; bounds the screen's temporary arrays
+_SCREEN_CHUNK = 512
+
+
+def _screen_leaves(
+    config: SearchConfig,
+    ctx: _SearchContext,
+    node: list[int],
+    char_partial: np.ndarray,
+    tails: np.ndarray,
+    stats: SearchStats,
+    hits: list[Certificate],
+    leaf_test: Callable[[tuple[int, ...]], Certificate | None],
+) -> None:
+    """Float-screen the leaves node + tail, one per row of ``tails`` in DFS
+    order, then canonically gate and exact-test the survivors in that order.
+
+    A leaf's spectrum is char_partial plus one character column per tail
+    element, added in tree order, so it is bit-identical to the sum the
+    walk would build one level at a time.
+    """
+    ratio = config.target_size ** 2 / config.partner_size
+    passes = np.empty(len(tails), dtype=bool)
+    for lo in range(0, len(tails), _SCREEN_CHUNK):
+        block = tails[lo : lo + _SCREEN_CHUNK]
+        sums = char_partial[:, None] + ctx.char_matrix[:, block[:, 0]]
+        for j in range(1, block.shape[1]):
+            sums += ctx.char_matrix[:, block[:, j]]
+        q = np.abs(sums) ** 2 / ratio
+        deviation = (np.abs(q - np.round(q)) * ratio).max(axis=0)
+        passes[lo : lo + len(block)] = deviation <= FLOAT_SCREEN_TOL
+    stats.pruned_by_screen += len(tails) - int(passes.sum())
+    affine = config.symmetry == "affine"
+    for tail in tails[passes].tolist():
+        leaf = (*node, *tail)
+        if affine and not ctx.reducer.is_canonical(leaf):
+            stats.pruned_by_symmetry += 1
+            continue
+        stats.leaves_tested += 1
+        cert = leaf_test(leaf)
+        if cert is not None:
+            stats.hits += 1
+            hits.append(cert)
 
 
 def _descend(
@@ -459,51 +517,64 @@ def _descend(
     budget: _Budget | None,
     leaf_test: Callable[[tuple[int, ...]], Certificate | None],
 ) -> bool:
-    """Depth-first walk below a node; returns False when the budget ran out."""
+    """Depth-first walk below a node; returns False when the budget ran out.
+
+    Children are canonically gated with one walk per node.  Below a node
+    of depth size - 2 the last two levels are one float screen: the loop
+    over the next element does the budget and the counting, and the leaf
+    pairs it allows are screened together.
+    """
     size = config.target_size
     n = ctx.n
     depth = len(node)
-    last = node[-1]
-    affine = config.symmetry == "affine"
-    ratio = config.target_size ** 2 / config.partner_size
 
     if depth == size - 1:
-        cands = np.arange(last + 1, n)
-        exhausted = False
-        if budget is not None:
-            allowed = budget.drain(len(cands))
-            if allowed < len(cands):
-                cands = cands[:allowed]
-                exhausted = True
-        if cands.size:
-            stats.nodes_visited += int(cands.size)
-            spectra = np.abs(char_partial[:, None] + ctx.char_matrix[:, cands]) ** 2
-            q = spectra / ratio
-            deviation = (np.abs(q - np.round(q)) * ratio).max(axis=0)
-            passes = deviation <= FLOAT_SCREEN_TOL
-            stats.pruned_by_screen += int((~passes).sum())
-            for j in np.nonzero(passes)[0]:
-                leaf = tuple(node) + (int(cands[j]),)
-                if affine and not ctx.reducer.is_canonical(leaf):
-                    stats.pruned_by_symmetry += 1
-                    continue
-                stats.leaves_tested += 1
-                cert = leaf_test(leaf)
-                if cert is not None:
-                    stats.hits += 1
-                    hits.append(cert)
-        return not exhausted
+        tails = np.arange(node[-1] + 1, n)
+        allowed = len(tails) if budget is None else budget.drain(len(tails))
+        stats.nodes_visited += allowed
+        _screen_leaves(config, ctx, node, char_partial, tails[:allowed, None],
+                       stats, hits, leaf_test)
+        return allowed == len(tails)
 
-    for x in range(last + 1, n - size + depth + 1):
+    xs = range(node[-1] + 1, n - size + depth + 1)
+    canonical = _canonical_mask(config, ctx, node, xs)
+    if depth == size - 2:
+        firsts: list[int] = []
+        counts: list[int] = []
+        finished = True
+        for x, ok in zip(xs, canonical):
+            if budget is not None and budget.drain(1) == 0:
+                finished = False
+                break
+            stats.nodes_visited += 1
+            if not ok:
+                stats.pruned_by_symmetry += 1
+                continue
+            want = n - 1 - x
+            allowed = want if budget is None else budget.drain(want)
+            stats.nodes_visited += allowed
+            firsts.append(x)
+            counts.append(allowed)
+            if allowed < want:
+                finished = False
+                break
+        sizes = np.array(counts, dtype=np.intp)
+        a = np.repeat(np.array(firsts, dtype=np.intp), sizes)
+        # b counts a + 1, a + 2, ... along each run of equal a
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        _screen_leaves(config, ctx, node, char_partial, np.column_stack((a, b)),
+                       stats, hits, leaf_test)
+        return finished
+
+    for x, ok in zip(xs, canonical):
         if budget is not None and budget.drain(1) == 0:
             return False
         stats.nodes_visited += 1
-        node.append(x)
-        if affine and not ctx.reducer.is_canonical(node):
+        if not ok:
             stats.pruned_by_symmetry += 1
-            node.pop()
             continue
-        ok = _descend(
+        node.append(x)
+        finished = _descend(
             config,
             ctx,
             node,
@@ -514,7 +585,7 @@ def _descend(
             leaf_test,
         )
         node.pop()
-        if not ok:
+        if not finished:
             return False
     return True
 

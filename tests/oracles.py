@@ -6,6 +6,8 @@ agreement between the two is meaningful evidence.  The brute-force helpers
 enumerate subsets or subgroups with no symmetry reduction at all, and the
 affine-orbit scan compares every image under every automorphism and
 translation, which the stabilizer-chain canonical forms are tested against.
+The reference search walks the tree one node at a time, as the search did
+before it batched the work of sibling nodes.
 """
 
 from __future__ import annotations
@@ -209,6 +211,127 @@ def scan_forms_by_orbit(orders, tables, size):
         assert min(images) == node and not images & form.keys()
         form.update(dict.fromkeys(images, node))
     return form
+
+
+# ---------------------------------------------------------------------------
+# the search walked one node at a time
+# ---------------------------------------------------------------------------
+
+
+def chain_is_canonical(reducer, indices):
+    """The stabilizer-chain walk for one node, as the search once ran it on
+    every node: the reducer's cached levels, no batching over siblings."""
+    node = list(map(int, indices))
+    if node[0] != 0:
+        return False
+    x = np.array(node)
+    rows = reducer._sub[x[:, None], x]
+    for depth in range(1, len(node)):
+        level = reducer._level(tuple(node[1:depth]))
+        if level.om is None:
+            return min(np.sort(rows, axis=1).tolist()) >= node
+        om = level.om[rows]
+        target = node[depth]
+        if om.min() < target:
+            return False
+        rows, _ = reducer._advance(level, rows, om, target)
+    return True
+
+
+def reference_walk(config):
+    """The search without a budget, one node at a time in DFS order.
+
+    Every node is canonically gated by ``chain_is_canonical`` and every
+    leaf gets its own float screen.  Returns (frontier, tasks): the
+    outcomes of the frontier enumeration, and per frontier task the task
+    and the outcomes of the nodes below it, in the order they are visited.
+    An outcome is "symmetry", "screen", "open" (an expanded inner node),
+    "leaf" (an exact-tested leaf) or the hit leaf itself.
+    """
+    from fdual.search import FLOAT_SCREEN_TOL, _context, _leaf_tester
+
+    ctx = _context(config.spec)
+    n, size = ctx.n, config.target_size
+    affine = config.symmetry == "affine"
+    ratio = size ** 2 / config.partner_size
+    leaf_test = _leaf_tester(config, ctx)
+
+    frontier, task_nodes = [], []
+
+    def enumerate_node(node):
+        if affine and len(node) > 1 and not chain_is_canonical(ctx.reducer, node):
+            frontier.append("symmetry")
+            return
+        frontier.append("open")
+        if len(node) == config.frontier_depth:
+            task_nodes.append(tuple(node))
+            return
+        for x in range(node[-1] + 1, n):
+            enumerate_node(node + [x])
+
+    for root in range(n) if config.symmetry == "none" else [0]:
+        enumerate_node([root])
+
+    def descend(node, partial, outcomes):
+        for x in range(node[-1] + 1, n - size + len(node) + 1):
+            child = node + [x]
+            spectrum = partial + ctx.char_matrix[:, x]
+            if len(child) < size:
+                if affine and not chain_is_canonical(ctx.reducer, child):
+                    outcomes.append("symmetry")
+                    continue
+                outcomes.append("open")
+                descend(child, spectrum, outcomes)
+                continue
+            q = np.abs(spectrum) ** 2 / ratio
+            if (np.abs(q - np.round(q)) * ratio).max() > FLOAT_SCREEN_TOL:
+                outcomes.append("screen")
+            elif affine and not chain_is_canonical(ctx.reducer, child):
+                outcomes.append("symmetry")
+            elif leaf_test(tuple(child)) is None:
+                outcomes.append("leaf")
+            else:
+                outcomes.append(tuple(child))
+
+    tasks = []
+    for task in task_nodes:
+        outcomes = []
+        descend(list(task), ctx.char_matrix[:, list(task)].sum(axis=1), outcomes)
+        tasks.append((task, outcomes))
+    return frontier, tasks
+
+
+def reference_result(walk, budget=None):
+    """Stats counts, completeness and hit list of a run with this budget.
+
+    Every node costs one unit.  The frontier is enumerated in full even
+    past the budget.  Tasks then run in order while units remain; a task
+    cut short counts its nodes up to the stop, and its hits are dropped,
+    since it has to be rerun on resume.
+    """
+    frontier, tasks = walk
+    left = float("inf") if budget is None else max(0, budget - len(frontier))
+    counted = list(frontier)
+    hits = []
+    done = 0
+    for _, outcomes in tasks:
+        if left <= 0:
+            break
+        counted += outcomes[: int(min(left, len(outcomes)))]
+        if left < len(outcomes):
+            break
+        left -= len(outcomes)
+        hits += [o for o in outcomes if isinstance(o, tuple)]
+        done += 1
+    kinds = Counter("hit" if isinstance(o, tuple) else o for o in counted)
+    stats = {
+        "nodes_visited": len(counted),
+        "leaves_tested": kinds["leaf"] + kinds["hit"],
+        "pruned_by_symmetry": kinds["symmetry"],
+        "pruned_by_screen": kinds["screen"],
+        "hits": kinds["hit"],
+    }
+    return stats, done == len(tasks), sorted(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -340,20 +341,72 @@ class TestCanonicalForm:
             affine_canonical_form(Z4, ElementSet(), automorphism_group(Z4))
 
 
+@lru_cache(maxsize=None)
+def _small_forms(orders):
+    """Scanned canonical forms of every 0-containing node of size <= 6."""
+    auts = automorphism_group(GroupSpec(orders))
+    assert auts.complete
+    return {
+        size: scan_forms_by_orbit(orders, auts.tables, size)
+        for size in range(1, min(6, auts.spec.order) + 1)
+    }
+
+
 class TestStabilizerChain:
     """The chain walk against the scan over every automorphism and translate."""
 
     @pytest.mark.parametrize("orders", abelian_group_orders(16))
     def test_every_small_node_matches_scan(self, orders):
         spec = GroupSpec(orders)
-        auts = automorphism_group(spec)
-        assert auts.complete
-        reducer = AffineReducer(spec, auts)
-        for size in range(1, min(6, spec.order) + 1):
-            form = scan_forms_by_orbit(orders, auts.tables, size)
+        reducer = AffineReducer(spec, automorphism_group(spec))
+        for form in _small_forms(orders).values():
             for node, canon in form.items():
                 assert reducer.canonical_form(node) == canon, (orders, node)
                 assert reducer.is_canonical(node) == (node == canon), (orders, node)
+
+    @pytest.mark.parametrize("orders", abelian_group_orders(16))
+    def test_children_of_every_small_node_match_scan(self, orders):
+        # every one-element extension of every 0-containing node of size <= 5
+        spec = GroupSpec(orders)
+        reducer = AffineReducer(spec, automorphism_group(spec))
+        forms = _small_forms(orders)
+        for size in range(1, min(5, spec.order - 1) + 1):
+            for node in forms[size]:
+                cands = range(node[-1] + 1, spec.order)
+                expected = [forms[size + 1][(*node, y)] == (*node, y) for y in cands]
+                got = reducer.canonical_children(node, cands)
+                assert got.dtype == bool and got.tolist() == expected, (orders, node)
+
+    @pytest.mark.parametrize(
+        "orders,parents,children",
+        [((2, 2, 4, 4), 2, 4), ((8, 8), 6, None), ((40,), 8, None), ((7, 7), 6, None)],
+    )
+    def test_children_of_random_size7_parents_match_scan(self, orders, parents, children):
+        # half the parents are canonical forms, half random nodes (which are
+        # rarely canonical); children=None takes every y above the parent
+        spec = GroupSpec(orders)
+        auts = automorphism_group(spec)
+        reducer = AffineReducer(spec, auts)
+        rng = random.Random(sum(orders) + 7)
+        parent_kinds, child_kinds = set(), set()
+        for i in range(parents):
+            node = (0, *sorted(rng.sample(range(1, spec.order - 4), 6)))
+            if i % 2 == 0:
+                node = reducer.canonical_form(node)
+            cands = list(range(node[-1] + 1, spec.order))
+            if children is not None:
+                cands = sorted(rng.sample(cands, min(children, len(cands))))
+            expected = [scan_is_canonical(orders, auts.tables, (*node, y)) for y in cands]
+            assert reducer.canonical_children(node, cands).tolist() == expected, (orders, node)
+            parent_kinds.add(scan_is_canonical(orders, auts.tables, node))
+            child_kinds.update(expected)
+        assert parent_kinds == child_kinds == {True, False}
+
+    def test_children_edge_cases(self):
+        reducer = automorphism_group(Z2Z4).reducer
+        assert reducer.canonical_children([], [0, 1, 5]).tolist() == [True, False, False]
+        assert reducer.canonical_children([0, 1], []).tolist() == []
+        assert reducer.canonical_children([1, 2], [3, 4]).tolist() == [False, False]
 
     @pytest.mark.parametrize("orders,count", [((2, 2, 4, 4), 3), ((8, 8), 12), ((7, 7), 12)])
     def test_random_size8_nodes_match_scan(self, orders, count):
@@ -382,6 +435,11 @@ class TestStabilizerChain:
                 assert canon == scan_canonical_form(spec.orders, translations, s)
                 assert reducer.canonical_form(canon) == canon
                 assert reducer.is_canonical(canon)
+                if canon[-1] < spec.order - 1:
+                    cands = range(canon[-1] + 1, spec.order)
+                    assert reducer.canonical_children(canon, cands).tolist() == [
+                        scan_is_canonical(spec.orders, translations, (*canon, y)) for y in cands
+                    ]
         # (1, 0) and (1, 2) are one Aut-orbit, so {0, 4} and {0, 6} are one
         # affine orbit but two translation orbits
         assert reducer.canonical_form([0, 6]) == (0, 6)

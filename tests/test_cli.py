@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from fdual.cli import main
 
 Z4_INSTANCE = {"group": {"orders": [4]}, "S": [[0], [1]]}
@@ -191,12 +193,28 @@ class TestSearch:
             b = _strip_timestamp(json.loads((out_b / name).read_text()))
             assert a == b
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
+    def test_jobs_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FD_THREADS", "2")
         from fdual.cli import _default_jobs
 
         assert _default_jobs() == 2
-        monkeypatch.setenv("FD_THREADS", "not-a-number")
-        assert _default_jobs() == 1
+        assert main(["search", "--group", "4", "--size", "2",
+                     "--out", str(tmp_path / "r")]) == 0
         monkeypatch.delenv("FD_THREADS")
         assert _default_jobs() == 1
+
+    @pytest.mark.parametrize("value", ["not-a-number", "0", "-3", "1.5"])
+    def test_bad_jobs_env_is_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("FD_THREADS", value)
+        assert main(["search", "--group", "4", "--size", "2",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "FD_THREADS" in capsys.readouterr().err
+        # an explicit --jobs does not read the environment
+        assert main(["search", "--group", "4", "--size", "2", "--jobs", "1",
+                     "--out", str(tmp_path / "r2")]) == 0
+
+    @pytest.mark.parametrize("budget", ["1e400", "inf", "10^-1", "1e-3"])
+    def test_unrepresentable_budget_is_exit_2(self, tmp_path, capsys, budget):
+        assert main(["search", "--group", "4", "--size", "2", "--budget", budget,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "budget" in capsys.readouterr().err

@@ -36,7 +36,8 @@ from fdual.search import (
     _run_task,
 )
 
-from oracles import abelian_group_orders, exact_pair_classes
+from fdual import search
+from oracles import abelian_group_orders, exact_pair_classes, reference_result, reference_walk
 
 Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
@@ -201,6 +202,19 @@ class TestPaperResults:
         print(f"Theorem 2.1 search: {result.stats.nodes_visited} nodes, "
               f"{len(result.certificates)} orbit classes")
 
+    def test_z8x8_size8_pair_nonexistence(self):
+        # the paper's second result, through the process pool: Z8^2 has no
+        # primitive formally dual 8-set.  The node count is reported, not
+        # gated, so a pruning gain stays legal.
+        cfg = SearchConfig(spec=GroupSpec((8, 8)), target_size=8, mode="pair",
+                           symmetry="affine", frontier_depth=4)
+        pooled = run_search(cfg, jobs=2)
+        assert pooled.complete and not pooled.caveats
+        assert pooled.certificates == [] and pooled.stats.hits == 0
+        _assert_stats_sane(pooled.stats)
+        assert pooled.stats.nodes_visited == run_search(cfg, jobs=1).stats.nodes_visited
+        print(f"Z8^2 size-8 pair search: {pooled.stats.nodes_visited} nodes, 0 classes")
+
 
 class TestGroundTruthSmallGroups:
     def test_z4_exactly_one_class(self):
@@ -352,6 +366,49 @@ class TestBudget:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(spec=Z4, target_size=2, mode="pair", budget=0)
+
+
+def _sweep_budgets(orders, size, mode, symmetry, depth=None):
+    """run_search against the node-by-node reference at every budget from 1
+    to one past the full run, and without a budget."""
+    base = dict(spec=GroupSpec(orders), target_size=size, mode=mode,
+                symmetry=symmetry, frontier_depth=depth)
+    walk = reference_walk(SearchConfig(**base))
+    full = reference_result(walk)
+    assert full[1]
+    for budget in [None, *range(1, full[0]["nodes_visited"] + 2)]:
+        result = run_search(SearchConfig(**base, budget=budget))
+        stats = result.stats.to_dict()
+        stats.pop("elapsed")
+        got = (stats, result.complete, [c.s.indices for c in result.certificates])
+        assert got == reference_result(walk, budget), (orders, size, budget)
+    return full
+
+
+class TestBatchedWalk:
+    """The sibling-batched walk (one canonicity walk per node, the last two
+    levels as one float screen) against the search walked one node at a
+    time: identical counts, stop points and hit lists at every budget."""
+
+    @pytest.mark.parametrize("orders,size,mode,symmetry,depth", [
+        ((16,), 4, "pair", "translation", None),
+        ((2, 8), 4, "pair", "affine", None),
+        ((2, 2, 4), 4, "pair", "affine", None),
+        ((2, 2, 4), 4, "pair", "affine", 3),
+        ((4, 4), 4, "self_dual", "affine", None),
+        ((24,), 6, "pair", "affine", None),
+    ])
+    def test_every_budget_matches_reference(self, orders, size, mode, symmetry, depth):
+        stats, _, _ = _sweep_budgets(orders, size, mode, symmetry, depth)
+        assert stats["pruned_by_screen"] > 0 and stats["leaves_tested"] > 0
+        if symmetry == "affine":
+            assert stats["pruned_by_symmetry"] > 0
+
+    def test_screen_in_many_chunks(self, monkeypatch):
+        # a node's leaf pairs (up to 91) span many chunks of 3
+        monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
+        stats, _, hits = _sweep_budgets((4, 4), 4, "self_dual", "affine")
+        assert len(hits) == 2
 
 
 class TestCheckpointing:
