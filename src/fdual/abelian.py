@@ -66,6 +66,18 @@ class GroupSpec:
             w[i] = w[i + 1] * self.orders[i + 1]
         return tuple(w)
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (N, k) int64 array: row i holds the coordinates of element i.
+
+        Group arithmetic on indices is arithmetic on these rows followed by
+        :meth:`index_of`, which reduces: ``index_of(coords[a] - coords[b])``
+        is the index of a - b, for single indices and index arrays alike.
+        """
+        out = np.array(list(self.elements()), dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
@@ -76,49 +88,29 @@ class GroupSpec:
             )
         return tuple(int(c) % n for c, n in zip(coords, self.orders))
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+    def index_of(self, coords):
+        """Mixed-radix index of coordinates, reduced mod the factor orders first.
 
-    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
-    def sub(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.orders))
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        """Mixed-radix index of a coordinate tuple (reduced first)."""
-        c = self.reduce(coords)
-        return sum(ci * wi for ci, wi in zip(c, self._weights))
+        A sequence of k ints gives an int.  An integer array whose last axis
+        has length k gives the array of indices over its other axes.
+        """
+        if isinstance(coords, np.ndarray):
+            if coords.shape[-1:] != (self.rank,):
+                raise ValueError(
+                    f"expected {self.rank} coordinates on the last axis, got shape {coords.shape}"
+                )
+            return (coords % np.array(self.orders)) @ np.array(self._weights)
+        return sum(c * w for c, w in zip(self.reduce(coords), self._weights))
 
     def element(self, index: int) -> tuple[int, ...]:
         """Coordinate tuple of an element index; rejects out-of-range indices."""
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range [0, {self.order})")
-        coords = []
-        for w, n in zip(self._weights, self.orders):
-            coords.append((index // w) % n)
-        return tuple(coords)
+        return tuple((index // w) % n for w, n in zip(self._weights, self.orders))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements in index order (itertools.product varies the last slot fastest)."""
         return itertools.product(*(range(n) for n in self.orders))
-
-    def add_index(self, i: int, j: int) -> int:
-        return self.index_of(self.add(self.element(i), self.element(j)))
-
-    def neg_index(self, i: int) -> int:
-        return self.index_of(self.neg(self.element(i)))
-
-    def sub_index(self, i: int, j: int) -> int:
-        return self.index_of(self.sub(self.element(i), self.element(j)))
-
-    def element_order(self, coords: Sequence[int]) -> int:
-        c = self.reduce(coords)
-        o = 1
-        for ci, n in zip(c, self.orders):
-            if ci:
-                o = lcm(o, n // _gcd(ci, n))
-        return o
 
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the unit vectors e_1, ..., e_k."""
@@ -142,12 +134,6 @@ class GroupSpec:
         if any(not isinstance(n, int) or isinstance(n, bool) for n in orders):
             raise ValueError("group orders must be integers")
         return cls(tuple(orders))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class ElementSet:
@@ -184,9 +170,6 @@ class ElementSet:
     def coords(self, spec: GroupSpec) -> list[tuple[int, ...]]:
         return [spec.element(i) for i in self]
 
-    def with_element(self, i: int) -> "ElementSet":
-        return ElementSet(self.mask | (1 << i))
-
     def __contains__(self, i: int) -> bool:
         return i >= 0 and (self.mask >> i) & 1 == 1
 
@@ -215,34 +198,53 @@ class ElementSet:
 
 def translate(spec: GroupSpec, s: ElementSet, v: int) -> ElementSet:
     """The set s + v."""
-    return ElementSet.from_indices(spec.add_index(i, v) for i in s)
+    moved = spec.index_of(spec.coords[list(s)] + spec.coords[v])
+    return ElementSet.from_indices(moved.tolist())
 
 
 def negate_set(spec: GroupSpec, s: ElementSet) -> ElementSet:
-    return ElementSet.from_indices(spec.neg_index(i) for i in s)
+    return ElementSet.from_indices(spec.index_of(-spec.coords[list(s)]).tolist())
 
 
 def subgroup_generated(spec: GroupSpec, gens: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing the generators (always contains 0)."""
-    gen_list = list(gens)
-    members = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for g in gen_list:
-            y = spec.add_index(x, g)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-    return ElementSet.from_indices(members)
+    """Smallest subgroup containing the generators (always contains 0).
+
+    A generator g outside the members H grows them to H + <g> by doubling:
+    H + {0, ..., 2^j - 1} g gains its shift by 2^j g until a shift adds
+    nothing, which happens once it is closed under adding g.  No temporary
+    exceeds |G| x k.
+    """
+    members = np.zeros(spec.order, dtype=bool)
+    members[0] = True
+    for g in gens:
+        if members[g]:
+            continue
+        step = spec.coords[g]
+        while True:
+            moved = spec.index_of(spec.coords[members] + step)
+            if members[moved].all():
+                break
+            members[moved] = True
+            step = 2 * step
+    return ElementSet.from_indices(np.flatnonzero(members).tolist())
 
 
 def stabilizer(spec: GroupSpec, s: ElementSet) -> ElementSet:
-    """{h in G : h + s = s}; a subgroup of G.  Rejects the empty set."""
+    """{h in G : h + s = s}; a subgroup of G.  Rejects the empty set.
+
+    Such an h moves the first element s0 into S, so the candidates are
+    S - s0 and the test is one |S| x |S| array.
+    """
     if not s:
         raise ValueError("stabilizer of the empty set is undefined")
-    fixers = [h for h in range(spec.order) if translate(spec, s, h) == s]
-    return ElementSet.from_indices(fixers)
+    idx = list(s)
+    inside = np.zeros(spec.order, dtype=bool)
+    inside[idx] = True
+    rows = spec.coords[idx]
+    cands = rows - rows[0]
+    moved = spec.index_of(rows[None, :, :] + cands[:, None, :])
+    fixers = spec.index_of(cands[inside[moved].all(axis=1)])
+    return ElementSet.from_indices(fixers.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +281,22 @@ class PairingMatrix:
                     )
         object.__setattr__(self, "entries", rows)
 
-    def exponent(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """B(x, y) mod m for coordinate tuples x, y."""
-        m = self.spec.exponent
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.entries[i]
-                total += xi * sum(e * yj for e, yj in zip(row, y))
-        return total % m
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return np.array(self.entries, dtype=np.int64)
+
+    def exponents(self, xs: Iterable[int], ys: Iterable[int]) -> np.ndarray:
+        """B(x, y) mod m for x in xs and y in ys, as a (len(xs), len(ys)) int64
+        array; xs and ys are element indices, e.g. a range or an ElementSet."""
+        coords, m = self.spec.coords, self.spec.exponent
+        left = (coords[list(xs)] @ self._matrix) % m
+        return (left @ coords[list(ys)].T) % m
 
     @cached_property
     def is_nondegenerate(self) -> bool:
-        """True iff x -> B(x, .) has trivial kernel (scan over G, gens suffice)."""
-        gens = [self.spec.element(g) for g in self.spec.generator_indices()]
-        for x in self.spec.elements():
-            if any(x) and all(self.exponent(x, g) == 0 for g in gens):
-                return False
-        return True
-
-    def transpose(self) -> "PairingMatrix":
-        k = self.spec.rank
-        return PairingMatrix(
-            self.spec,
-            tuple(tuple(self.entries[j][i] for j in range(k)) for i in range(k)),
-        )
+        """True iff x -> B(x, .) has trivial kernel (B against the generators suffices)."""
+        against_gens = self.exponents(range(self.spec.order), self.spec.generator_indices())
+        return not (against_gens[1:] == 0).all(axis=1).any()
 
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -331,9 +324,6 @@ class Automorphism:
 
     table: tuple[int, ...]
 
-    def apply(self, i: int) -> int:
-        return self.table[i]
-
     def map_set(self, s: ElementSet) -> ElementSet:
         return ElementSet.from_indices(self.table[i] for i in s)
 
@@ -347,12 +337,14 @@ class Automorphism:
             raise ValueError("table is not a permutation of the element indices")
         if self.table[0] != 0:
             raise ValueError("automorphism must fix 0")
+        table = np.array(self.table)
+        coords = spec.coords
         for x in range(n):
-            for y in range(x, n):
-                if self.table[spec.add_index(x, y)] != spec.add_index(
-                    self.table[x], self.table[y]
-                ):
-                    raise ValueError(f"not additive at ({x}, {y})")
+            image_of_sum = table[spec.index_of(coords[x] + coords[x:])]
+            sum_of_images = spec.index_of(coords[table[x]] + coords[table[x:]])
+            bad = np.flatnonzero(image_of_sum != sum_of_images)
+            if bad.size:
+                raise ValueError(f"not additive at ({x}, {x + int(bad[0])})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,23 +379,15 @@ class AutomorphismGroup:
 @lru_cache(maxsize=None)
 def _add_table(spec: GroupSpec) -> np.ndarray:
     """(N, N) table of index addition."""
-    n = spec.order
-    coords = np.array(list(spec.elements()), dtype=np.int64)
-    orders = np.array(spec.orders, dtype=np.int64)
-    weights = np.array(spec._weights, dtype=np.int64)
-    summed = (coords[:, None, :] + coords[None, :, :]) % orders
-    return (summed @ weights).astype(np.int16)
+    coords = spec.coords
+    return spec.index_of(coords[:, None, :] + coords[None, :, :]).astype(np.int16)
 
 
 @lru_cache(maxsize=None)
 def _sub_table(spec: GroupSpec) -> np.ndarray:
     """(N, N) table with entry [v, x] = index(x - v)."""
-    n = spec.order
-    coords = np.array(list(spec.elements()), dtype=np.int64)
-    orders = np.array(spec.orders, dtype=np.int64)
-    weights = np.array(spec._weights, dtype=np.int64)
-    diff = (coords[None, :, :] - coords[:, None, :]) % orders
-    return (diff @ weights).astype(np.int16)
+    coords = spec.coords
+    return spec.index_of(coords[None, :, :] - coords[:, None, :]).astype(np.int16)
 
 
 def _multiple_table(spec: GroupSpec) -> np.ndarray:
@@ -515,17 +499,14 @@ def _tables_from_images(spec: GroupSpec, image_tuples: Sequence[tuple[int, ...]]
     """Stack full index tables for automorphisms given by generator images."""
     n = spec.order
     k = spec.rank
-    coords = np.array(list(spec.elements()), dtype=np.int64)  # (N, k)
-    orders = np.array(spec.orders, dtype=np.int64)
-    weights = np.array(spec._weights, dtype=np.int64)
+    coords = spec.coords  # (N, k)
     out = np.empty((len(image_tuples), n), dtype=np.int16)
     chunk = max(1, (1 << 22) // max(1, n * k))
     images = np.array(image_tuples, dtype=np.int64)  # (A, k) indices
     for lo in range(0, len(image_tuples), chunk):
         hi = min(lo + chunk, len(image_tuples))
         gc = coords[images[lo:hi]]  # (a, k, k): coords of each image
-        mapped = np.einsum("xi,aij->axj", coords, gc) % orders
-        out[lo:hi] = (mapped @ weights).astype(np.int16)
+        out[lo:hi] = spec.index_of(np.einsum("xi,aij->axj", coords, gc)).astype(np.int16)
     return out
 
 
@@ -559,16 +540,9 @@ def pairing_from_automorphism(base: PairingMatrix, alpha: Automorphism) -> Pairi
     automorphism, so ranging alpha over Aut(G) ranges B' over all pairings.
     """
     spec = base.spec
-    k = spec.rank
-    gen_idx = spec.generator_indices()
-    rows = []
-    for i in range(k):
-        a = spec.element(alpha.table[gen_idx[i]])
-        row = []
-        for j in range(k):
-            row.append(sum(al * base.entries[l][j] for l, al in enumerate(a)) % spec.exponent)
-        rows.append(tuple(row))
-    return PairingMatrix(spec, tuple(rows))
+    images = [alpha.table[g] for g in spec.generator_indices()]
+    rows = (spec.coords[images] @ base._matrix) % spec.exponent
+    return PairingMatrix(spec, tuple(map(tuple, rows.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ from .duality import (
     CertificateError,
     check_pair,
     check_self_dual,
+    exact_spectrum,
     make_certificate,
-    spectrum_entry,
     verify_certificate,
     weight_enumerator,
 )
-from .cyclotomic import as_integer
 from .primitivity import is_primitive
 from .search import CheckpointError, SearchConfig, run_search
 
@@ -208,9 +207,8 @@ def _cmd_spectrum(args) -> int:
     inst = _load_instance(args.instance)
     s = inst.require_s()
     pairing = inst.pairing or standard_pairing(inst.spec)
-    for i in range(inst.spec.order):
+    for i, value in enumerate(exact_spectrum(inst.spec, pairing, s)):
         coords = ",".join(map(str, inst.spec.element(i)))
-        value = as_integer(spectrum_entry(inst.spec, pairing, s, i))
         shown = "non-integer" if value is None else str(value)
         print(f"{i}\t({coords})\t{shown}")
     return EXIT_OK
@@ -237,23 +235,33 @@ def _cmd_primitive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_MAX_BUDGET = (1 << 63) - 1
+
+
 def _parse_budget(text: str) -> int:
-    """Accept 1000000, 10^6 and 1e6 spellings of a whole number."""
+    """Accept 1000000, 10^6 and 1e6 spellings of a whole number up to 2^63 - 1."""
     text = text.strip()
     try:
         if "^" in text:
             base, exp = (int(part) for part in text.split("^", 1))
-            if exp < 0:
+            # for |base| >= 2 an exponent above 63 is past the bound: no power
+            if exp < 0 or (abs(base) >= 2 and exp > 63):
                 raise ValueError
-            return base ** exp
-        if "e" in text.lower():
+            value = base ** exp
+        elif "e" in text.lower():
             value = float(text)
             if value != int(value):
                 raise ValueError
-            return int(value)
-        return int(text)
+            value = int(value)
+        else:
+            value = int(text)
+        if value > _MAX_BUDGET:
+            raise ValueError
     except (ValueError, OverflowError) as exc:
-        raise InputError(f"cannot parse budget {text!r}") from exc
+        raise InputError(
+            f"cannot parse budget {text!r} as a whole number up to 2^63 - 1"
+        ) from exc
+    return value
 
 
 def _parse_group(text: str) -> GroupSpec:

@@ -3,9 +3,9 @@
 A value is a :class:`ClassVector`: integer coefficients of a polynomial in
 Z[x]/(x^m - 1), evaluated at zeta_m = e^{2 pi i / m}.  Whether such a value
 equals an integer is decided by reducing modulo the m-th cyclotomic
-polynomial -- monic integer division, no rounding anywhere.  Floating-point
-evaluation exists purely as a screener; nothing reported downstream may
-rest on it.
+polynomial -- monic integer division, no rounding anywhere.  There is no
+floating-point path here: the search's float screen lives in ``search``,
+and nothing reported downstream may rest on it.
 
 Coefficients are plain Python ints, so there is no overflow to guard
 against at any scale this toolkit touches.
@@ -13,7 +13,6 @@ against at any scale this toolkit touches.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,16 +48,6 @@ class ClassVector:
         coeffs = [0] * m
         coeffs[j % m] = 1
         return cls(m, tuple(coeffs))
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
-        return ClassVector(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
-        return ClassVector(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -163,11 +152,3 @@ def as_integer(p: ClassVector) -> int | None:
     if len(rem) == 1:
         return rem[0]
     return None
-
-
-def eval_float(p: ClassVector) -> complex:
-    """Double-precision value of p; screening only, never a verdict."""
-    m = p.m
-    return sum(
-        c * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(p.coeffs) if c
-    )

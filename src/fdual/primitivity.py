@@ -32,10 +32,8 @@ def is_in_proper_coset(spec: GroupSpec, s: ElementSet) -> tuple[bool, ElementSet
     """Condition 1, with the difference subgroup as witness when it is proper."""
     if not s:
         raise ValueError("primitivity of the empty set is undefined")
-    it = iter(s)
-    s0 = next(it)
-    diffs = [spec.sub_index(x, s0) for x in s]
-    h0 = subgroup_generated(spec, diffs)
+    rows = spec.coords[list(s)]
+    h0 = subgroup_generated(spec, spec.index_of(rows - rows[0]).tolist())
     if len(h0) < spec.order:
         return True, h0
     return False, None

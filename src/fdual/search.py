@@ -243,9 +243,8 @@ class _SearchContext:
         self.spec = spec
         self.n = spec.order
         self.pairing0 = standard_pairing(spec)
-        coords = np.array(list(spec.elements()), dtype=np.int64)
-        entries = np.array(self.pairing0.entries, dtype=np.int64)
-        exponents = (coords @ entries @ coords.T) % spec.exponent
+        everything = range(self.n)
+        exponents = self.pairing0.exponents(everything, everything)
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
         self.auts = automorphism_group(spec)
         self.reducer = self.auts.reducer

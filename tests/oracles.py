@@ -2,7 +2,11 @@
 
 The float oracle below verifies the duality identities by direct complex
 summation with cmath and never touches the package's exact machinery, so
-agreement between the two is meaningful evidence.  The brute-force helpers
+agreement between the two is meaningful evidence.  Group arithmetic here is
+its own tuple arithmetic on coordinates, never the package's array
+encoding, and the exact references (the nu-weighted spectrum route, the
+dual-side identity, weight enumerators, translates, stabilizers and
+generated subgroups) are built on it.  The brute-force helpers
 enumerate subsets or subgroups with no symmetry reduction at all, and the
 affine-orbit scan compares every image under every automorphism and
 translation, which the stabilizer-chain canonical forms are tested against.
@@ -32,8 +36,33 @@ def _elements(orders):
     return list(itertools.product(*(range(n) for n in orders)))
 
 
+def _add(a, b, orders):
+    return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+
 def _sub(a, b, orders):
     return tuple((x - y) % n for x, y, n in zip(a, b, orders))
+
+
+@lru_cache(maxsize=None)
+def _index_arithmetic(orders):
+    """Index tables of addition and negation, by tuple arithmetic."""
+    elems = _elements(orders)
+    index = {c: i for i, c in enumerate(elems)}
+    zero = (0,) * len(orders)
+    add = [[index[_add(a, b, orders)] for b in elems] for a in elems]
+    neg = [index[_sub(zero, a, orders)] for a in elems]
+    return add, neg
+
+
+def oracle_add(spec, i, j):
+    """Index of element i + element j."""
+    return _index_arithmetic(spec.orders)[0][i][j]
+
+
+def oracle_neg(spec, i):
+    """Index of -(element i)."""
+    return _index_arithmetic(spec.orders)[1][i]
 
 
 def _bilinear(matrix, x, y, m):
@@ -65,6 +94,95 @@ def float_self_dual_holds(orders, s_coords, matrix, tol=1e-6):
     return float_pair_holds(orders, s_coords, s_coords, matrix, tol=tol)
 
 
+def eval_float(p):
+    """Double-precision value of a ClassVector."""
+    m = p.m
+    return sum(
+        c * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(p.coeffs) if c
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact references by tuple arithmetic
+# ---------------------------------------------------------------------------
+
+
+def spectrum_entry_from_nu(spec, pairing, nu, t):
+    """|chi_t(S)|^2 computed as sum_d nu_S(d) * zeta^B(t, d), as a ClassVector:
+    the second route to the spectrum, which ``duality.spectrum_entry`` must
+    match coefficient by coefficient."""
+    from fdual.cyclotomic import ClassVector
+
+    m = spec.exponent
+    elems = _elements(spec.orders)
+    coeffs = [0] * m
+    for d, count in enumerate(nu):
+        if count:
+            coeffs[_bilinear(pairing.entries, elems[t], elems[d], m)] += count
+    return ClassVector(m, tuple(coeffs))
+
+
+def dual_side_holds(spec, pairing, s, t_set):
+    """The exchanged identity |S| * |g(T)|^2 == |T|^2 * nu_S(g) for every g,
+    decided exactly.  g(T) sums the characters of T at g, a character sum
+    over T under the transposed pairing matrix."""
+    from fdual.cyclotomic import ClassVector, as_integer, norm_sq
+
+    n, m = spec.order, spec.exponent
+    if len(s) * len(t_set) != n:
+        return False
+    elems = _elements(spec.orders)
+    flipped = [list(col) for col in zip(*pairing.entries)]
+    s_coords = [elems[i] for i in s]
+    t_coords = [elems[i] for i in t_set]
+    nu_s = Counter(_sub(a, b, spec.orders) for a in s_coords for b in s_coords)
+    for g in elems:
+        counts = [0] * m
+        for y in t_coords:
+            counts[_bilinear(flipped, g, y, m)] += 1
+        value = as_integer(norm_sq(ClassVector(m, tuple(counts))))
+        if value is None or len(s) * value != len(t_set) ** 2 * nu_s.get(g, 0):
+            return False
+    return True
+
+
+def exponent_table_oracle(pairing):
+    """B(x, y) for every pair of elements, as nested lists."""
+    spec = pairing.spec
+    elems = _elements(spec.orders)
+    return [[_bilinear(pairing.entries, x, y, spec.exponent) for y in elems] for x in elems]
+
+
+def weight_enumerator_oracle(spec, s):
+    """nu_S as a tuple indexed by element, from a Counter of differences."""
+    elems = _elements(spec.orders)
+    nu = Counter(_sub(elems[a], elems[b], spec.orders) for a in s for b in s)
+    return tuple(nu.get(c, 0) for c in elems)
+
+
+def translate_oracle(spec, s, v):
+    return frozenset(oracle_add(spec, x, v) for x in s)
+
+
+def stabilizer_oracle(spec, s):
+    """Every h with h + S = S, scanning all of G."""
+    members = frozenset(s)
+    return frozenset(h for h in range(spec.order) if translate_oracle(spec, s, h) == members)
+
+
+def subgroup_oracle(spec, gens):
+    """Closure of {0} under adding generators, breadth first."""
+    members, queue = {0}, [0]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = oracle_add(spec, x, g)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
+
+
 # ---------------------------------------------------------------------------
 # subgroup-lattice oracles for primitivity
 # ---------------------------------------------------------------------------
@@ -83,7 +201,7 @@ def all_subgroups(spec):
         closed = True
         for a in members:
             for b in members:
-                if spec.add_index(a, b) not in set(members):
+                if oracle_add(spec, a, b) not in set(members):
                     closed = False
                     break
             if not closed:
@@ -101,7 +219,7 @@ def in_proper_coset_oracle(spec, s):
             continue
         hset = set(h.indices)
         for v in range(spec.order):
-            coset = {spec.add_index(v, x) for x in hset}
+            coset = {oracle_add(spec, v, x) for x in hset}
             if members <= coset:
                 return True
     return False
@@ -114,7 +232,7 @@ def union_of_cosets_oracle(spec, s):
         if len(h) <= 1:
             continue
         if all(
-            {spec.add_index(x, hh) for x in members} == members for hh in h.indices
+            {oracle_add(spec, x, hh) for x in members} == members for hh in h.indices
         ):
             return True
     return False

@@ -22,10 +22,9 @@ from fdual.abelian import (
     translate,
 )
 from fdual.cli import main
-from fdual.cyclotomic import _poly_mul, cyclotomic_poly, eval_float
+from fdual.cyclotomic import _poly_mul, cyclotomic_poly
 from fdual.duality import (
     check_pair,
-    check_pair_dual_side,
     check_self_dual,
     exact_spectrum,
     spectrum_entry,
@@ -37,9 +36,12 @@ from fdual.search import SearchConfig, pair_leaf_test, run_search, self_dual_lea
 from conftest import ORDER64_ORDERS, ORDER64_PAIRING_ROWS, ORDER64_S_COORDS
 from oracles import (
     abelian_group_orders,
+    dual_side_holds,
+    eval_float,
     exact_pair_classes,
     float_self_dual_holds,
     in_proper_coset_oracle,
+    oracle_neg,
     union_of_cosets_oracle,
 )
 
@@ -162,7 +164,7 @@ def test_criterion_5_property_suites():
         nu = weight_enumerator(spec, s)
         assert nu[0] == len(s)
         assert sum(nu) == len(s) ** 2
-        assert all(nu[d] == nu[spec.neg_index(d)] >= 0 for d in range(spec.order))
+        assert all(nu[d] == nu[oracle_neg(spec, d)] >= 0 for d in range(spec.order))
 
     # Parseval within 1e-6 * N on the float path
     for _ in range(60):
@@ -186,12 +188,12 @@ def test_criterion_5_property_suites():
         group = automorphism_group(spec)
         pairing = pairing_from_automorphism(standard_pairing(spec), group[rng.randrange(len(group))])
         lhs = check_pair(spec, pairing, s, t).holds
-        assert lhs == check_pair_dual_side(spec, pairing, s, t).holds
+        assert lhs == dual_side_holds(spec, pairing, s, t)
         holding += lhs
     z4 = GroupSpec((4,))
     tito = ElementSet.from_indices([0, 1])
     assert check_pair(z4, standard_pairing(z4), tito, tito).holds
-    assert check_pair_dual_side(z4, standard_pairing(z4), tito, tito).holds
+    assert dual_side_holds(z4, standard_pairing(z4), tito, tito)
 
     # primitivity shortcut against the subgroup-lattice oracle, exhaustive |G| <= 8
     for orders in abelian_group_orders(8):

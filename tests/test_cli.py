@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fdual.cli import main
+from fdual.cli import _parse_budget, main
 
 Z4_INSTANCE = {"group": {"orders": [4]}, "S": [[0], [1]]}
 
@@ -213,8 +213,20 @@ class TestSearch:
         assert main(["search", "--group", "4", "--size", "2", "--jobs", "1",
                      "--out", str(tmp_path / "r2")]) == 0
 
-    @pytest.mark.parametrize("budget", ["1e400", "inf", "10^-1", "1e-3"])
+    @pytest.mark.parametrize("budget", [
+        "1e400", "inf", "10^-1", "1e-3",
+        # above 2^63 - 1; the huge exponents are refused without the power
+        "10^100000000", "10^10000000", "2^64", "2^63",
+        "9223372036854775808", "1e19",
+    ])
     def test_unrepresentable_budget_is_exit_2(self, tmp_path, capsys, budget):
         assert main(["search", "--group", "4", "--size", "2", "--budget", budget,
                      "--out", str(tmp_path / "r")]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_spellings(self):
+        assert _parse_budget("10^6") == 10 ** 6
+        assert _parse_budget("1e3") == 1000
+        assert _parse_budget("10^18") == 10 ** 18
+        assert _parse_budget("9223372036854775807") == 2 ** 63 - 1
+        assert _parse_budget("1^100000000") == 1

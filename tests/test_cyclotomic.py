@@ -9,12 +9,13 @@ from fdual.cyclotomic import (
     as_integer,
     conj,
     cyclotomic_poly,
-    eval_float,
     mul_mod,
     norm_sq,
     residue,
     _poly_mul,
 )
+
+from oracles import eval_float
 
 
 class TestCyclotomicPoly:
