@@ -15,6 +15,7 @@ indexes them by group elements.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm, prod
@@ -22,9 +23,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# Enumerating Aut(G) is brute force over generator images; this cap keeps a
-# pathological group (e.g. Z_2^8) from blowing up.  Groups the toolkit
-# targets (order <= 256, few factors) stay well below it.
+# Aut(G) is enumerated in full, one (|Aut|, |G|) int16 table; this cap on
+# its closed-form order keeps a group with huge symmetry (e.g. Z_2^6,
+# Z_2^4 x Z_4) from blowing up.  Such a group gets the identity alone.
 DEFAULT_AUT_CAP = 1 << 18
 
 MAX_GROUP_ORDER = 256
@@ -351,9 +352,9 @@ class Automorphism:
 class AutomorphismGroup:
     """Automorphisms of a group, tables stacked in a (A, N) int array.
 
-    ``complete`` is False when enumeration was cut off at the cap; a partial
-    list is still a valid set of automorphisms containing the identity, which
-    is all symmetry pruning needs for soundness.
+    ``complete`` is False when |Aut(G)| is above the cap; the tables then
+    hold the identity alone, which is all symmetry pruning needs for
+    soundness.
     """
 
     spec: GroupSpec
@@ -390,133 +391,124 @@ def _sub_table(spec: GroupSpec) -> np.ndarray:
     return spec.index_of(coords[None, :, :] - coords[:, None, :]).astype(np.int16)
 
 
-def _multiple_table(spec: GroupSpec) -> np.ndarray:
-    """(m+1, N) table of t*g for t = 0..m (row m equals row 0)."""
-    m = spec.exponent
-    n = spec.order
-    add = _add_table(spec)
-    out = np.zeros((m + 1, n), dtype=np.int16)
-    row = np.zeros(n, dtype=np.int16)
-    base = np.arange(n)
-    for t in range(1, m + 1):
-        row = add[row, base]
-        out[t] = row
+@lru_cache(maxsize=None)
+def _multiples(spec: GroupSpec) -> np.ndarray:
+    """(m, N) table of t*g for t = 0..m-1, m the exponent."""
+    t = np.arange(spec.exponent)[:, None, None]
+    return spec.index_of(t * spec.coords[None, :, :]).astype(np.int16)
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p^e."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
     return out
 
 
-def _enumerate_aut_images(spec: GroupSpec, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Generator-image tuples of all automorphisms, in lexicographic order.
+def aut_order(spec: GroupSpec) -> int:
+    """|Aut(G)| in closed form, with nothing enumerated.
+
+    Aut(G) is the product over primes p of Aut of the p-part.  A p-group
+    with cyclic factors of orders p^e_1 <= ... <= p^e_r has
+    prod_k (p^d_k - p^(k-1)) * p^(e_k (r - d_k)) * p^((e_k - 1)(r - c_k + 1))
+    automorphisms, where d_k and c_k are the largest and least (1-based) l
+    with e_l = e_k (Hillar and Rhea, "Automorphisms of finite abelian
+    groups", Amer. Math. Monthly 2007).
+    """
+    exps: dict[int, list[int]] = {}
+    for n in spec.orders:
+        for p, e in _factorize(n).items():
+            exps.setdefault(p, []).append(e)
+    total = 1
+    for p, es in exps.items():
+        es.sort()
+        r = len(es)
+        for k, e in enumerate(es, 1):
+            d, c = bisect_right(es, e), bisect_left(es, e) + 1
+            total *= (p**d - p ** (k - 1)) * p ** (e * (r - d)) * p ** ((e - 1) * (r - c + 1))
+    return total
+
+
+# blocks of the image enumeration have at most _IMAGE_BLOCK // |G| rows, so
+# none of its (rows, |G|) temporaries exceeds _IMAGE_BLOCK entries
+_IMAGE_BLOCK = 1 << 20
+
+
+def _aut_images(spec: GroupSpec, allowed: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Generator-image tuples of the automorphisms, in lexicographic order,
+    as (B, k) blocks of at most ``_IMAGE_BLOCK // |G|`` rows.
 
     An image tuple (g_1, ..., g_k) with n_i * g_i = 0 defines a homomorphism
-    e_i -> g_i; it is an automorphism iff the images generate G.  DFS prunes
-    prefixes whose closure cannot grow back to |G|.
+    Z_n1 x ... x Z_nk -> G, e_i -> g_i, and it is an automorphism iff it is
+    injective: no element of prime order maps to 0.  For each prime p those
+    elements span the p-socle, which has the basis (n_i / p) e_i over the
+    slots with p | n_i.  So a tuple is an automorphism iff each socle image
+    (n_i / p) g_i lies outside the span of the earlier ones.  The tuples
+    grow slot by slot; each prefix carries the list of its span (the socle
+    images of all primes together, a direct sum) and survives while every
+    new socle image falls outside it.  ``allowed``, a (k, |G|) boolean
+    array, further restricts slot i to the elements it marks.
     """
-    n = spec.order
-    k = spec.rank
-    mult = _multiple_table(spec)
-    add = _add_table(spec)
+    n, k, m = spec.order, spec.rank, spec.exponent
+    mult, add = _multiples(spec), _add_table(spec)
+    cands = []
+    for i, ni in enumerate(spec.orders):
+        ok = mult[ni % m] == 0
+        cands.append(np.flatnonzero(ok if allowed is None else ok & allowed[i]))
+    primes = [list(_factorize(ni)) for ni in spec.orders]
+    block = max(1, _IMAGE_BLOCK // n)
 
-    # slot i admits exactly the elements killed by n_i; when n_i is a
-    # multiple of the exponent that is every element
-    candidates: list[list[int]] = []
-    for ni in spec.orders:
-        t = ni % spec.exponent
-        if t == 0:
-            candidates.append(list(range(n)))
-        else:
-            candidates.append([g for g in range(n) if mult[t][g] == 0])
+    def extend(images: np.ndarray, span: np.ndarray) -> Iterator[np.ndarray]:
+        i = images.shape[1]
+        if i == k:
+            yield images
+            return
+        c, ni = cands[i], spec.orders[i]
+        inside = np.zeros((len(images), n), dtype=bool)
+        inside[np.arange(len(images))[:, None], span] = True
+        ok = np.ones((len(images), len(c)), dtype=bool)
+        for p in primes[i]:
+            ok &= ~inside[:, mult[ni // p, c]]
+        rows, cols = np.nonzero(ok)
+        for lo in range(0, len(rows), block):
+            r, g = rows[lo : lo + block], c[cols[lo : lo + block]]
+            grown = span[r]
+            if i + 1 < k:
+                for p in primes[i]:
+                    steps = mult[:p, mult[ni // p, g]].T
+                    grown = add[grown[:, :, None], steps[:, None, :]].reshape(len(r), -1)
+            yield from extend(np.column_stack((images[r], g)), grown)
 
-    # maximum closure growth still available at slot i (slots i..k-1 unchosen)
-    tail_growth = [prod(spec.orders[i:]) for i in range(k)]
-
-    results: list[tuple[int, ...]] = []
-    truncated = False
-
-    def closure_with(members: np.ndarray, g: int) -> np.ndarray:
-        """members is a boolean membership mask of a subgroup; extend by g."""
-        powers = [0]
-        x = g
-        while x != 0:
-            powers.append(x)
-            x = int(add[x, g])
-        hits = np.flatnonzero(members)
-        new = np.zeros_like(members)
-        for p in powers:
-            new[add[hits, p]] = True
-        return new
-
-    def order_in_quotient(members: np.ndarray, g: int) -> int:
-        """Smallest t >= 1 with t*g inside the subgroup marked by members."""
-        for t in range(1, spec.exponent + 1):
-            if members[mult[t][g]]:
-                return t
-        raise AssertionError("exponent * g must land in every subgroup")
-
-    def dfs(slot: int, members: np.ndarray, size: int, images: list[int]) -> bool:
-        nonlocal truncated
-        if slot == k:
-            if size == n:
-                results.append(tuple(images))
-                if len(results) > cap:
-                    truncated = True
-                    results.pop()
-                    return False
-            return True
-        if size * tail_growth[slot] < n:
-            return True
-        if slot == k - 1:
-            # last slot: image g works iff |H| * ord(g mod H) == |G|
-            need = n // size
-            for g in candidates[slot]:
-                if order_in_quotient(members, g) == need:
-                    results.append(tuple(images + [g]))
-                    if len(results) > cap:
-                        truncated = True
-                        results.pop()
-                        return False
-            return True
-        for g in candidates[slot]:
-            t = order_in_quotient(members, g)
-            if t == 1:
-                new_members, new_size = members, size
-            else:
-                new_members = closure_with(members, g)
-                new_size = int(new_members.sum())
-            images.append(g)
-            keep_going = dfs(slot + 1, new_members, new_size, images)
-            images.pop()
-            if not keep_going:
-                return False
-        return True
-
-    root = np.zeros(n, dtype=bool)
-    root[0] = True
-    dfs(0, root, 1, [])
-    return results, not truncated
+    yield from extend(np.zeros((1, 0), dtype=np.intp), np.zeros((1, 1), dtype=np.int16))
 
 
-def _tables_from_images(spec: GroupSpec, image_tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Stack full index tables for automorphisms given by generator images."""
-    n = spec.order
-    k = spec.rank
-    coords = spec.coords  # (N, k)
-    out = np.empty((len(image_tuples), n), dtype=np.int16)
-    chunk = max(1, (1 << 22) // max(1, n * k))
-    images = np.array(image_tuples, dtype=np.int64)  # (A, k) indices
-    for lo in range(0, len(image_tuples), chunk):
-        hi = min(lo + chunk, len(image_tuples))
-        gc = coords[images[lo:hi]]  # (a, k, k): coords of each image
-        out[lo:hi] = spec.index_of(np.einsum("xi,aij->axj", coords, gc)).astype(np.int16)
-    return out
+def _tables_from_images(spec: GroupSpec, images: np.ndarray) -> np.ndarray:
+    """(B, N) index tables of the automorphisms with generator images
+    ``images`` (B, k).  x = (x_1, ..., x_k) maps to x_1 g_1 + ... + x_k g_k,
+    built one slot at a time in index order, last coordinate fastest."""
+    add, mult = _add_table(spec), _multiples(spec)
+    tables = np.zeros((len(images), 1), dtype=np.int16)
+    for i, ni in enumerate(spec.orders):
+        steps = mult[:ni, images[:, i]].T
+        tables = add[tables[:, :, None], steps[:, None, :]].reshape(len(images), -1)
+    return tables
 
 
 @lru_cache(maxsize=None)
 def automorphism_group(spec: GroupSpec, cap: int = DEFAULT_AUT_CAP) -> AutomorphismGroup:
-    """Enumerate Aut(G) by brute force over generator images.
+    """All of Aut(G) as index tables, rows in lexicographic order of the
+    generator images, when |Aut(G)| is at most ``cap``.
 
-    Returns the full group when its size is at most ``cap``; otherwise the
-    first ``cap`` automorphisms in enumeration order, flagged incomplete.
-    The identity is always present.  Requires |G| <= 256.
+    The closed-form order decides the cap before anything is enumerated.
+    Above it the tables hold the identity alone, flagged incomplete.
+    Requires |G| <= 256.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -524,11 +516,18 @@ def automorphism_group(spec: GroupSpec, cap: int = DEFAULT_AUT_CAP) -> Automorph
         raise ValueError(
             f"automorphism enumeration supports |G| <= {MAX_GROUP_ORDER}, got {spec.order}"
         )
-    image_tuples, complete = _enumerate_aut_images(spec, cap)
-    identity = spec.generator_indices()
-    if identity not in image_tuples:
-        image_tuples = [identity] + image_tuples[: cap - 1]
-    tables = _tables_from_images(spec, image_tuples)
+    count = aut_order(spec)
+    complete = count <= cap
+    if not complete:
+        tables = np.arange(spec.order, dtype=np.int16)[None, :]
+    else:
+        tables = np.empty((count, spec.order), dtype=np.int16)
+        filled = 0
+        for images in _aut_images(spec):
+            tables[filled : filled + len(images)] = _tables_from_images(spec, images)
+            filled += len(images)
+        if filled != count:
+            raise AssertionError(f"enumerated {filled} automorphisms, expected {count}")
     tables.setflags(write=False)
     return AutomorphismGroup(spec=spec, tables=tables, complete=complete)
 
@@ -591,8 +590,7 @@ class AffineReducer:
     walk with one child.  ``canonical_form`` takes the same chain, choosing
     the minimum at each level.
 
-    A capped automorphism list is not a group, and a chain over it would be
-    wrong.  The reducer then uses the identity alone, so the orbit is the
+    A capped group holds the identity alone, so the orbit is the
     translation orbit: exact for that group and sound for pruning, though
     equivalent sets may get different forms.
     """
@@ -604,10 +602,7 @@ class AffineReducer:
         if auts.spec != spec:
             raise ValueError("automorphism group belongs to a different group spec")
         self.spec = spec
-        if auts.complete:
-            self.tables = auts.tables
-        else:
-            self.tables = np.arange(spec.order, dtype=np.int16)[None, :]
+        self.tables = auts.tables
         self._flat = self.tables.ravel()
         self._sub = _sub_table(spec)
         self._root = self._make_level(np.arange(len(self.tables)), self.tables, ())

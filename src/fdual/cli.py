@@ -1,9 +1,9 @@
 """Command line surface: verify, spectrum, nu, primitive, search.
 
 Exit codes: 0 success / property holds, 1 checked and fails, 2 malformed
-input or invalid configuration, 3 search stopped by budget.  The gap
-between 1 and 3 matters: 1 is a verdict, 3 is an unfinished computation
-and never a claim of non-existence.
+input or invalid configuration, 3 search stopped by budget or by a dead
+worker process.  The gap between 1 and 3 matters: 1 is a verdict, 3 is an
+unfinished computation and never a claim of non-existence.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from .duality import (
     weight_enumerator,
 )
 from .primitivity import is_primitive
-from .search import CheckpointError, SearchConfig, run_search
+from .search import CheckpointError, SearchConfig, WorkerDied, run_search
 
 EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_BAD_INPUT = 2
-EXIT_BUDGET = 3
+EXIT_UNFINISHED = 3
 
 _INSTANCE_FIELDS = {"group", "S", "T", "pairing", "mode"}
 
@@ -305,7 +305,11 @@ def _cmd_search(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_search(config, jobs=jobs)
+    try:
+        result = run_search(config, jobs=jobs)
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNFINISHED
 
     for i, cert in enumerate(result.certificates):
         _write_json(str(out_dir / f"cert_{i:04d}.json"), cert.to_dict())
@@ -329,7 +333,7 @@ def _cmd_search(args) -> int:
         print(f"note: {caveat}")
     if not result.complete:
         print("budget exhausted: explored prefix only, no non-existence claim")
-        return EXIT_BUDGET
+        return EXIT_UNFINISHED
     return EXIT_OK
 
 

@@ -13,8 +13,8 @@ form, not a hope, and is additionally tested against no-symmetry brute
 force on small groups.  The minimality test walks a chain of point
 stabilizers of Aut(G) along the node's own prefix (see
 :class:`fdual.abelian.AffineReducer`) rather than scanning every
-automorphism, and one walk tests all children of a node.  When the Aut(G)
-enumeration was capped, the orbit is the translation orbit alone: still
+automorphism, and one walk tests all children of a node.  When |Aut(G)|
+is above the cap, the orbit is the translation orbit alone: still
 complete, but equivalent orbits may be reported separately, and the run
 says so in its caveats.
 
@@ -37,6 +37,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -45,10 +46,12 @@ import numpy as np
 
 from . import __version__
 from .abelian import (
-    AutomorphismGroup,
+    Automorphism,
     ElementSet,
     GroupSpec,
+    _aut_images,
     _sub_table,
+    _tables_from_images,
     automorphism_group,
     pairing_from_automorphism,
     standard_pairing,
@@ -74,6 +77,10 @@ TASK_DELAY_ENV = "FDUAL_TASK_DELAY_MS"
 
 class CheckpointError(RuntimeError):
     pass
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker process died; the run stopped unfinished."""
 
 
 @dataclass(frozen=True)
@@ -260,17 +267,18 @@ def _context(spec: GroupSpec) -> _SearchContext:
 # ---------------------------------------------------------------------------
 
 
-def self_dual_leaf_test(
-    spec: GroupSpec, s: ElementSet, auts: AutomorphismGroup
-) -> Certificate | None:
+def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     """Certificate for S self-dual under some isomorphism, or None.
 
     Composing the standard pairing with alpha permutes the character index
     by alpha, so the exact spectrum E under the standard pairing decides
     everything: S is self-dual under the pairing of alpha iff
     E(alpha(t)) == |S| * nu_S(t) for all t.  Every isomorphism G -> G^ is
-    such a composition, so with a complete automorphism list this test is
-    exhaustive over pairings.
+    such a composition.  So the test enumerates all of Aut(G), capped or
+    not, with slot i restricted to the images g of e_i that have
+    E(g) == |S| * nu_S(e_i), and certifies the first alpha, in
+    lexicographic order of the generator images, whose pairing passes the
+    exact check.
     """
     if not is_primitive(spec, s).primitive:
         return None
@@ -284,13 +292,14 @@ def self_dual_leaf_test(
     e_arr = np.array(spectrum, dtype=np.int64)
     if sorted(e_arr.tolist()) != sorted(target.tolist()):
         return None
-    rows = e_arr[auts.tables.astype(np.int64)]
-    matches = np.nonzero((rows == target[None, :]).all(axis=1))[0]
-    for a_idx in matches:
-        alpha = auts[int(a_idx)]
-        pairing = pairing_from_automorphism(pairing0, alpha)
-        if check_self_dual(spec, pairing, s).holds:
-            return make_certificate(spec, pairing, s, kind="self_dual")
+    allowed = e_arr[None, :] == target[list(spec.generator_indices())][:, None]
+    for images in _aut_images(spec, allowed):
+        tables = _tables_from_images(spec, images)
+        for row in np.flatnonzero((e_arr[tables] == target).all(axis=1)):
+            alpha = Automorphism(tuple(tables[row].tolist()))
+            pairing = pairing_from_automorphism(pairing0, alpha)
+            if check_self_dual(spec, pairing, s).holds:
+                return make_certificate(spec, pairing, s, kind="self_dual")
     return None
 
 
@@ -394,9 +403,7 @@ def _weight_matched_set(
 
 def _leaf_tester(config: SearchConfig, ctx: _SearchContext) -> Callable[[tuple[int, ...]], Certificate | None]:
     if config.mode == "self_dual":
-        return lambda leaf: self_dual_leaf_test(
-            ctx.spec, ElementSet.from_indices(leaf), ctx.auts
-        )
+        return lambda leaf: self_dual_leaf_test(ctx.spec, ElementSet.from_indices(leaf))
     return lambda leaf: pair_leaf_test(ctx.spec, ElementSet.from_indices(leaf))
 
 
@@ -733,17 +740,11 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     tasks = _enumerate_frontier(config, ctx, enum_stats, budget)
 
     caveats: list[str] = []
-    if not ctx.auts.complete:
-        if config.mode == "self_dual":
-            caveats.append(
-                "automorphism enumeration was capped: self-duality was tested "
-                "only under the enumerated pairings"
-            )
-        if config.symmetry == "affine":
-            caveats.append(
-                "automorphism enumeration was capped: equivalent orbits may "
-                "be reported separately"
-            )
+    if not ctx.auts.complete and config.symmetry == "affine":
+        caveats.append(
+            "automorphism enumeration was capped: equivalent orbits may "
+            "be reported separately"
+        )
 
     completed_stats = SearchStats()
     hit_dicts: list[dict] = []
@@ -793,7 +794,16 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_pool_worker, (payload, task)) for task in pending]
             for fut in as_completed(futures):
-                out = fut.result()
+                try:
+                    out = fut.result()
+                except BrokenProcessPool as exc:
+                    saved = (
+                        f"{len(done)} of {len(tasks)} tasks are saved in checkpoint "
+                        f"{config.checkpoint_path}; rerun with it to resume"
+                        if config.checkpoint_path
+                        else "no checkpoint was given, so no finished task is saved"
+                    )
+                    raise WorkerDied(f"a search worker process died: {saved}") from exc
                 completed_stats.merge_counts(SearchStats.from_dict(out["stats"]))
                 hit_dicts.extend(out["hits"])
                 done.add(tuple(out["task"]))

@@ -11,7 +11,11 @@ enumerate subsets or subgroups with no symmetry reduction at all, and the
 affine-orbit scan compares every image under every automorphism and
 translation, which the stabilizer-chain canonical forms are tested against.
 The reference search walks the tree one node at a time, as the search did
-before it batched the work of sibling nodes.
+before it batched the work of sibling nodes.  Aut(G) is enumerated here by
+a depth-first search over generator images on the oracle's own addition
+table; the library's enumerator, its self-dual leaf test and a Burnside
+count of affine orbits, which the orderly walk must match, are checked
+against it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ def _add(a, b, orders):
 
 def _sub(a, b, orders):
     return tuple((x - y) % n for x, y, n in zip(a, b, orders))
+
+
+def _coords_and_weights(orders):
+    """Coordinates of every element and the mixed-radix place values."""
+    coords = np.array(_elements(orders), dtype=np.int64)
+    weights = np.array([prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    return coords, weights
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +288,7 @@ def exact_pair_classes(spec, size):
 @lru_cache(maxsize=None)
 def _difference_table(orders):
     """(N, N) table with entry [v, x] = index(x - v), last coordinate fastest."""
-    coords = np.array(_elements(orders), dtype=np.int64)
-    weights = np.array([prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    coords, weights = _coords_and_weights(orders)
     diff = ((coords[None, :, :] - coords[:, None, :]) % np.array(orders)) @ weights
     return diff.astype(np.int16)
 
@@ -329,6 +339,173 @@ def scan_forms_by_orbit(orders, tables, size):
         assert min(images) == node and not images & form.keys()
         form.update(dict.fromkeys(images, node))
     return form
+
+
+# ---------------------------------------------------------------------------
+# Aut(G) by depth-first search over generator images
+# ---------------------------------------------------------------------------
+
+
+def aut_images_dfs(orders):
+    """Generator-image tuples of all automorphisms, in lexicographic order.
+
+    An image tuple (g_1, ..., g_k) with n_i * g_i = 0 defines a homomorphism
+    e_i -> g_i; it is an automorphism iff the images generate G.  The DFS
+    grows the subgroup generated by the prefix and prunes prefixes whose
+    closure cannot grow back to |G|.
+    """
+    n, k, m = prod(orders), len(orders), _lcm_all(orders)
+    add = np.array(_index_arithmetic(tuple(orders))[0], dtype=np.int64)
+    mult = np.zeros((m + 1, n), dtype=np.int64)  # mult[t][g] = t * g
+    for t in range(1, m + 1):
+        mult[t] = add[mult[t - 1], np.arange(n)]
+    candidates = [[g for g in range(n) if mult[ni % m][g] == 0] for ni in orders]
+    tail_growth = [prod(orders[i:]) for i in range(k)]
+    results = []
+
+    def closure_with(members, g):
+        powers = [0]
+        x = g
+        while x != 0:
+            powers.append(x)
+            x = int(add[x, g])
+        hits = np.flatnonzero(members)
+        new = np.zeros_like(members)
+        for p in powers:
+            new[add[hits, p]] = True
+        return new
+
+    def order_in_quotient(members, g):
+        for t in range(1, m + 1):
+            if members[mult[t][g]]:
+                return t
+        raise AssertionError("exponent * g must land in every subgroup")
+
+    def dfs(slot, members, size, images):
+        if slot == k:
+            if size == n:
+                results.append(tuple(images))
+            return
+        if size * tail_growth[slot] < n:
+            return
+        if slot == k - 1:
+            # last slot: image g works iff |H| * ord(g mod H) == |G|
+            results.extend(tuple(images + [g]) for g in candidates[slot]
+                           if order_in_quotient(members, g) == n // size)
+            return
+        for g in candidates[slot]:
+            if order_in_quotient(members, g) == 1:
+                new_members, new_size = members, size
+            else:
+                new_members = closure_with(members, g)
+                new_size = int(new_members.sum())
+            dfs(slot + 1, new_members, new_size, images + [g])
+
+    root = np.zeros(n, dtype=bool)
+    root[0] = True
+    dfs(0, root, 1, [])
+    return results
+
+
+@lru_cache(maxsize=4)
+def aut_tables_oracle(orders):
+    """(|Aut|, N) int16 tables in the DFS order: x maps to sum x_i g_i,
+    summed on coordinates."""
+    orders = tuple(orders)
+    coords, weights = _coords_and_weights(orders)
+    images = np.array(aut_images_dfs(orders), dtype=np.int64).reshape(-1, len(orders))
+    out = np.empty((len(images), len(coords)), dtype=np.int16)
+    for lo in range(0, len(images), 4096):
+        gc = coords[images[lo : lo + 4096]]  # (a, k, k): coordinates of each image
+        out[lo : lo + 4096] = (np.einsum("xi,aij->axj", coords, gc) % orders) @ weights
+    return out
+
+
+def self_dual_gather_oracle(spec, s):
+    """The self-dual leaf test as a gather of the spectrum E through every
+    row of the DFS tables: a certificate for the first alpha, in table
+    order, that has E(alpha(t)) == |S| * nu_S(t) for all t and whose
+    pairing passes ``check_self_dual``, or None."""
+    from fdual.abelian import Automorphism, pairing_from_automorphism, standard_pairing
+    from fdual.duality import check_self_dual, exact_spectrum, make_certificate, weight_enumerator
+    from fdual.primitivity import is_primitive
+
+    if not is_primitive(spec, s).primitive:
+        return None
+    pairing0 = standard_pairing(spec)
+    spectrum = exact_spectrum(spec, pairing0, s)
+    if any(v is None for v in spectrum):
+        return None
+    target = np.array([len(s) * v for v in weight_enumerator(spec, s)], dtype=np.int64)
+    tables = aut_tables_oracle(spec.orders).astype(np.int64)
+    rows = np.array(spectrum, dtype=np.int64)[tables]
+    for a in np.flatnonzero((rows == target).all(axis=1)):
+        pairing = pairing_from_automorphism(pairing0, Automorphism(tuple(tables[a].tolist())))
+        if check_self_dual(spec, pairing, s).holds:
+            return make_certificate(spec, pairing, s, kind="self_dual")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# orbit counting: Burnside over the affine group against the orderly walk
+# ---------------------------------------------------------------------------
+
+
+def burnside_orbit_counts(orders, max_size):
+    """Orbits of the affine maps x -> pi(x) + v on d-subsets, d = 1..max_size.
+
+    By Burnside's lemma the count is the mean, over all maps, of the number
+    of d-subsets a map fixes: the t^d coefficient of the product over its
+    cycles c of (1 + t^|c|).  pi ranges over ``aut_tables_oracle`` and v
+    over G; translation is a coordinate sum.
+    """
+    orders = tuple(orders)
+    coords, weights = _coords_and_weights(orders)
+    n = len(coords)
+    shift = ((coords[:, None, :] + coords[None, :, :]) % orders) @ weights  # [v, x] = x + v
+    type_counts = Counter()
+    tables = aut_tables_oracle(orders).astype(np.int64)
+    chunk = max(1, 4096 // n)
+    for lo in range(0, len(tables), chunk):
+        perms = shift[:, tables[lo : lo + chunk]]  # [v, a, x] = pi_a(x) + v
+        perms = perms.transpose(1, 0, 2).reshape(-1, n)
+        cycle_len = np.zeros(perms.shape, dtype=np.int64)
+        cur = np.broadcast_to(np.arange(n), perms.shape).copy()
+        step = 0
+        while (cycle_len == 0).any():
+            step += 1
+            cur = np.take_along_axis(perms, cur, axis=1)
+            cycle_len[(cur == np.arange(n)) & (cycle_len == 0)] = step
+        hist = np.apply_along_axis(np.bincount, 1, cycle_len, minlength=n + 1)
+        for row, count in Counter(map(tuple, hist.tolist())).items():
+            type_counts[row] += count
+    total = Counter()
+    for hist, count in type_counts.items():
+        poly = [1] + [0] * max_size
+        for length, points in enumerate(hist[1:], 1):
+            for _ in range(points // length):
+                poly = [poly[d] + (poly[d - length] if d >= length else 0) for d in range(max_size + 1)]
+        for d in range(1, max_size + 1):
+            total[d] += poly[d] * count
+    maps = len(tables) * n
+    assert all(total[d] % maps == 0 for d in total)
+    return [total[d] // maps for d in range(1, max_size + 1)]
+
+
+def orderly_orbit_counts(reducer, max_size):
+    """Canonical nodes at each depth 1..max_size of the orderly tree, every
+    child gated by ``canonical_children`` and no room bound: one node per
+    affine orbit of d-subsets when the reducer drops none."""
+    n = reducer.spec.order
+    counts, layer = [1], [[0]]
+    for _ in range(max_size - 1):
+        nxt = []
+        for node in layer:
+            xs = range(node[-1] + 1, n)
+            nxt += [node + [x] for x, ok in zip(xs, reducer.canonical_children(node, xs)) if ok]
+        layer = nxt
+        counts.append(len(layer))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from fdual.abelian import (
+    DEFAULT_AUT_CAP,
     AffineReducer,
     Automorphism,
     ElementSet,
     GroupSpec,
     PairingMatrix,
+    _aut_images,
     affine_canonical_form,
+    aut_order,
     automorphism_group,
     negate_set,
     pairing_from_automorphism,
@@ -24,6 +27,7 @@ from fdual.abelian import (
 
 from oracles import (
     abelian_group_orders,
+    aut_tables_oracle,
     oracle_add,
     oracle_neg,
     scan_canonical_form,
@@ -259,6 +263,78 @@ class TestAutomorphisms:
     def test_order_limit(self):
         with pytest.raises(ValueError):
             automorphism_group(GroupSpec((2,) * 9))
+
+
+def _presentations(max_order):
+    """Every nondecreasing tuple of factor orders >= 2 with product <= max_order."""
+    out = []
+
+    def grow(prefix, size, low):
+        if prefix:
+            out.append(tuple(prefix))
+        for f in range(low, max_order // size + 1):
+            grow(prefix + [f], size * f, f)
+
+    grow([], 1, 2)
+    return out
+
+
+UNCAPPED_UP_TO_48 = [o for o in _presentations(48) if aut_order(GroupSpec(o)) <= DEFAULT_AUT_CAP]
+# factors of order 1 and unsorted factors, which the sweep above never makes
+ODD_PRESENTATIONS = [(1, 4), (2, 1, 2), (4, 2), (8, 5)]
+
+
+class TestAutEnumerator:
+    """The slot-by-slot enumerator and the closed-form order against the
+    depth-first search over generator images kept in tests/oracles.py."""
+
+    def test_sweep_size(self):
+        assert len(UNCAPPED_UP_TO_48) == 133
+        assert set(_presentations(48)) - set(UNCAPPED_UP_TO_48) == {(2, 2, 2, 2, 2)}
+
+    @pytest.mark.parametrize(
+        "orders", UNCAPPED_UP_TO_48 + ODD_PRESENTATIONS + [(8, 8), (2, 2, 4, 4)], ids=str
+    )
+    def test_tables_match_dfs(self, orders):
+        # byte-identical, rows in the same order
+        spec = GroupSpec(orders)
+        group = automorphism_group(spec)
+        expected = aut_tables_oracle(orders)
+        assert group.complete
+        assert len(group) == aut_order(spec) == len(expected)
+        assert group.tables.dtype == expected.dtype and group.tables.shape == expected.shape
+        assert group.tables.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "orders,count",
+        [((2,) * 5, 9_999_360), ((2, 2, 2, 2), 20_160), ((2, 2, 2, 2, 4), 10_321_920),
+         ((4, 4, 4), 86_016), ((7, 7), 2016), ((49,), 42), ((40,), 16), ((1, 1), 1)],
+    )
+    def test_closed_form_order(self, orders, count):
+        # |GL_5(F_2)| = 9999360, |GL_4(F_2)| = 20160, |GL_3(Z/4)| = 2^9 * 168
+        assert aut_order(GroupSpec(orders)) == count
+
+    def test_cap_decided_by_closed_form(self):
+        assert aut_order(GroupSpec((2,) * 5)) > DEFAULT_AUT_CAP >= aut_order(GroupSpec((2,) * 4))
+        capped = automorphism_group(GroupSpec((2,) * 5))
+        assert not capped.complete and len(capped) == 1 and capped[0].is_identity()
+        assert automorphism_group(GroupSpec((2,) * 4)).complete
+        assert len(automorphism_group(Z2Z4, cap=8)) == 8
+        capped = automorphism_group(Z2Z4, cap=7)
+        assert not capped.complete and len(capped) == 1
+
+    def test_capped_group_enumerates_in_bounded_blocks(self):
+        # all of Aut(Z2^4 x Z4), 40x the cap, streamed in blocks: the count
+        # matches the closed form and no block exceeds 2^20 / |G| rows
+        spec = GroupSpec((2, 2, 2, 2, 4))
+        total, last = 0, None
+        for images in _aut_images(spec):
+            assert 0 < len(images) <= (1 << 20) // spec.order
+            first = tuple(images[0].tolist())
+            assert last is None or last < first, "blocks come in lexicographic order"
+            last = tuple(images[-1].tolist())
+            total += len(images)
+        assert total == aut_order(spec) > DEFAULT_AUT_CAP
 
 
 class TestPairingFromAutomorphism:

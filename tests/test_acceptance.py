@@ -219,8 +219,8 @@ def test_criterion_5_property_suites():
             # existence of a witnessing pairing is a full affine invariant
             alpha = group[rng.randrange(len(group))]
             image = translate(spec, alpha.map_set(s), rng.randrange(spec.order))
-            assert (self_dual_leaf_test(spec, s, group) is None) == (
-                self_dual_leaf_test(spec, image, group) is None
+            assert (self_dual_leaf_test(spec, s) is None) == (
+                self_dual_leaf_test(spec, image) is None
             )
 
     # cyclotomic product identity up to m = 64

@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 
 from fdual.abelian import (
+    DEFAULT_AUT_CAP,
     ElementSet,
     GroupSpec,
     affine_canonical_form,
+    aut_order,
     automorphism_group,
     standard_pairing,
 )
+from fdual.cli import main
 from fdual.cyclotomic import as_integer
+from fdual.primitivity import is_primitive
 from fdual.duality import check_pair, spectrum_entry, verify_certificate
 from fdual.search import (
     CheckpointError,
@@ -37,11 +41,27 @@ from fdual.search import (
 )
 
 from fdual import search
-from oracles import abelian_group_orders, exact_pair_classes, reference_result, reference_walk
+from oracles import (
+    abelian_group_orders,
+    exact_pair_classes,
+    reference_result,
+    reference_walk,
+    self_dual_gather_oracle,
+)
 
 Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
 Z2Z8 = GroupSpec((2, 8))
+
+
+_POOL_WORKER = search._pool_worker
+_DOOMED_TASK = None  # set by a test; forked pool workers inherit it
+
+
+def _worker_dying_on_doomed_task(payload):
+    if tuple(payload[1]) == _DOOMED_TASK:
+        os._exit(1)
+    return _POOL_WORKER(payload)
 
 
 def _classes(spec, certs):
@@ -158,13 +178,13 @@ class TestLeafTests:
         assert pair_leaf_test(z8, s) is None
 
     def test_self_dual_leaf_z4(self):
-        cert = self_dual_leaf_test(Z4, ElementSet.from_indices([0, 1]), automorphism_group(Z4))
+        cert = self_dual_leaf_test(Z4, ElementSet.from_indices([0, 1]))
         assert cert is not None
         assert cert.kind == "self_dual"
         assert verify_certificate(cert)[0]
 
     def test_self_dual_leaf_rejects_imprimitive(self):
-        assert self_dual_leaf_test(Z4, ElementSet.from_indices([0, 2]), automorphism_group(Z4)) is None
+        assert self_dual_leaf_test(Z4, ElementSet.from_indices([0, 2])) is None
 
     def test_rediscovers_order64_instance(self, order64_spec, order64_set):
         # the shipped order-64 set must be recognized as self-dual by the
@@ -172,7 +192,7 @@ class TestLeafTests:
         # prefix must hit its orbit class
         auts = automorphism_group(order64_spec)
         assert auts.complete
-        cert = self_dual_leaf_test(order64_spec, order64_set, auts)
+        cert = self_dual_leaf_test(order64_spec, order64_set)
         assert cert is not None
         assert cert.s_primitive and cert.t_primitive
         assert verify_certificate(cert)[0]
@@ -183,6 +203,60 @@ class TestLeafTests:
         stats, hits, finished = _run_task(cfg, canon[:6], None)
         assert finished
         assert canon in {affine_canonical_form(order64_spec, c.s, auts).indices for c in hits}
+
+
+def _without_timestamp(cert):
+    data = cert.to_dict()
+    data.pop("timestamp")
+    return json.dumps(data, sort_keys=True)
+
+
+class TestSelfDualLeafAgainstGather:
+    """The table-free leaf test against the gather over every row of the
+    enumerated Aut(G), kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "orders,hits", [((4, 4), 64), ((2, 8), 0), ((2, 2, 2, 2), 0), ((3, 3), 24), ((9,), 0)]
+    )
+    def test_every_primitive_set_through_zero(self, orders, hits):
+        spec = GroupSpec(orders)
+        size = int(round(spec.order ** 0.5))
+        found = 0
+        for rest in itertools.combinations(range(1, spec.order), size - 1):
+            s = ElementSet.from_indices((0,) + rest)
+            if not is_primitive(spec, s).primitive:
+                continue
+            got, expected = self_dual_leaf_test(spec, s), self_dual_gather_oracle(spec, s)
+            assert (got is None) == (expected is None), s
+            if got is not None:
+                assert _without_timestamp(got) == _without_timestamp(expected), s
+                found += 1
+        assert found == hits
+
+    def test_capped_group_bounded_memory(self):
+        # Aut(Z2^4 x Z4) is 40x the cap.  The test still covers every pairing,
+        # streaming the restricted enumeration in blocks, with no
+        # (|Aut|, |G|) array, until a random set turns out self-dual
+        import tracemalloc
+
+        spec = GroupSpec((2, 2, 2, 2, 4))
+        assert aut_order(spec) > DEFAULT_AUT_CAP
+        rng = np.random.default_rng(5)
+        tried, certs = 0, []
+        tracemalloc.start()
+        try:
+            while not certs:
+                assert tried < 2000, "no self-dual set among the random ones"
+                s = ElementSet.from_indices([0, *rng.choice(np.arange(1, 64), 7, replace=False).tolist()])
+                if is_primitive(spec, s).primitive:
+                    tried += 1
+                    cert = self_dual_leaf_test(spec, s)
+                    certs += [cert] if cert is not None else []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert all(verify_certificate(c)[0] for c in certs)
 
 
 class TestPaperResults:
@@ -289,7 +363,7 @@ class TestCompletenessUpToOrder16:
         oracle = set()
         for rest in itertools.combinations(range(1, spec.order), size - 1):
             s = ElementSet.from_indices((0,) + rest)
-            if self_dual_leaf_test(spec, s, auts) is not None:
+            if self_dual_leaf_test(spec, s) is not None:
                 oracle.add(affine_canonical_form(spec, s, auts).indices)
         assert _classes(spec, result.certificates) == oracle, orders
 
@@ -513,6 +587,38 @@ class TestCheckpointing:
         assert completed >= 1, "run finished before it could be killed; raise the task delay"
         record = _load_checkpoint(path)
         assert 0 < len(record.completed) < len(enumerate_tasks(SearchConfig(**base)))
+        resumed = run_search(SearchConfig(**base, checkpoint_path=path))
+        assert resumed.complete
+        assert [(c.s.indices, c.partner.indices) for c in resumed.certificates] == [
+            (c.s.indices, c.partner.indices) for c in clean.certificates
+        ]
+        d_clean, d_res = clean.stats.to_dict(), resumed.stats.to_dict()
+        d_clean.pop("elapsed"), d_res.pop("elapsed")
+        assert d_clean == d_res
+
+    @pytest.mark.parametrize("checkpointed", [True, False])
+    def test_dead_worker_is_exit_3_and_resumable(self, tmp_path, monkeypatch, capsys, checkpointed):
+        # a pool worker that dies on the last task breaks the pool: one line
+        # on stderr, exit 3, and the saved tasks resume to the clean result
+        base = dict(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
+        clean = run_search(SearchConfig(**base))
+        tasks = enumerate_tasks(SearchConfig(**base))
+        monkeypatch.setattr(sys.modules[__name__], "_DOOMED_TASK", tasks[-1])
+        monkeypatch.setattr(search, "_pool_worker", _worker_dying_on_doomed_task)
+        path = str(tmp_path / "ck.json")
+        argv = ["search", "--group", "2,8", "--size", "4", "--mode", "pair", "--symmetry",
+                "affine", "--frontier-depth", "2", "--jobs", "2", "--out", str(tmp_path / "out")]
+        code = main(argv + (["--checkpoint", path] if checkpointed else []))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: a search worker process died")
+        if not checkpointed:
+            assert "no checkpoint was given" in err[0]
+            return
+        record = _load_checkpoint(path)
+        assert tasks[-1] not in record.completed
+        assert f"{len(record.completed)} of {len(tasks)} tasks are saved in checkpoint {path}" in err[0]
+        monkeypatch.undo()
         resumed = run_search(SearchConfig(**base, checkpoint_path=path))
         assert resumed.complete
         assert [(c.s.indices, c.partner.indices) for c in resumed.certificates] == [
