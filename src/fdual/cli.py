@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .abelian import ElementSet, GroupSpec, PairingMatrix, standard_pairing
@@ -342,7 +343,10 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="fdual",
         description="Exact formal-duality verification and search in finite abelian groups.",
@@ -382,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CheckpointError, ValueError) as exc:

@@ -7,14 +7,19 @@ polynomial -- monic integer division, no rounding anywhere.  There is no
 floating-point path here: the search's float screen lives in ``search``,
 and nothing reported downstream may rest on it.
 
-Coefficients are plain Python ints, so there is no overflow to guard
-against at any scale this toolkit touches.
+:func:`reduction_matrix` is the same reduction as a linear map: row j is
+x^j mod Phi_m, so a coefficient vector c reduces to c @ R.  ``duality``
+reduces every character of a set at once this way, in int64 and under an
+overflow guard of its own.  ClassVector coefficients are plain Python
+ints and need no guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,32 @@ def cyclotomic_poly(m: int) -> CyclotomicPoly:
             num, rem = _poly_divmod_monic(num, cyclotomic_poly(d).coeffs)
             assert rem == (0,), f"Phi_{d} must divide x^{m}-1 exactly"
     return CyclotomicPoly(m, num)
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(m: int) -> np.ndarray:
+    """Read-only (m, phi(m)) int64 array whose row j holds x^j mod Phi_m.
+
+    Built by the recurrence x^(j+1) = x * x^j: shift the row up one degree,
+    then subtract its old top coefficient times Phi_m, which is monic.  That
+    is O(m * phi(m)) in all, with no division per row.
+
+    >>> reduction_matrix(4).tolist()
+    [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    """
+    phi = cyclotomic_poly(m).coeffs
+    lower = np.array(phi[:-1], dtype=np.int64)
+    out = np.zeros((m, len(lower)), dtype=np.int64)
+    row = np.zeros(len(lower), dtype=np.int64)
+    row[0] = 1
+    for j in range(m):
+        out[j] = row
+        top = row[-1]
+        row[1:] = row[:-1]
+        row[0] = 0
+        row -= top * lower
+    out.setflags(write=False)
+    return out
 
 
 def conj(p: ClassVector) -> ClassVector:

@@ -10,6 +10,16 @@ checked in cross-multiplied integer form: the spectrum value |chi_t(S)|^2
 must reduce to an exact integer modulo the cyclotomic polynomial, and both
 sides are compared as integers.  No verdict ever rests on floating point.
 
+One kernel computes the spectrum for every character at once.  Because
+B(t, x) - B(t, y) = B(t, x - y) mod m, |chi_t(S)|^2 is the cyclotomic
+integer sum_d nu_S(d) * zeta^B(t, d), so its residue modulo Phi_m is
+sum_d nu_S(d) * R[B(t, d)] with R the reduction matrix of
+``cyclotomic.reduction_matrix``: an int64 product over the support of
+nu_S, taken in chunks of characters so that no temporary outgrows
+``_CHUNK_ENTRIES``.  The value is an integer iff every residue coefficient
+above the constant one is zero.  ``tests/oracles.py`` keeps the
+per-character route (``norm_sq`` of the character sum) as the reference.
+
 The equivalent condition with the roles of S and T exchanged (the "dual
 side") is not checked here: ``tests/oracles.py`` keeps it as a reference,
 and the agreement of the two is a tested property, not an assumption.
@@ -19,13 +29,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .abelian import ElementSet, GroupSpec, PairingMatrix
-from .cyclotomic import ClassVector, as_integer, norm_sq, residue
+from .cyclotomic import reduction_matrix
 from .primitivity import is_primitive
+
+# Largest number of entries in one temporary of the spectrum kernel.
+_CHUNK_ENTRIES = 1 << 20
+# Residue coefficients are bounded by |S|^2 * max|R|, which must stay below this.
+_INT64_BOUND = 1 << 62
+
+
+def _difference_counts(spec: GroupSpec, s: ElementSet) -> np.ndarray:
+    rows = spec.coords[list(s)]
+    diffs = spec.index_of(rows[:, None, :] - rows[None, :, :])
+    return np.bincount(diffs.ravel(), minlength=spec.order)
 
 
 def weight_enumerator(spec: GroupSpec, s: ElementSet) -> tuple[int, ...]:
@@ -35,26 +58,42 @@ def weight_enumerator(spec: GroupSpec, s: ElementSet) -> tuple[int, ...]:
     """
     if not s:
         raise ValueError("weight enumerator of the empty set is undefined")
-    rows = spec.coords[list(s)]
-    diffs = spec.index_of(rows[:, None, :] - rows[None, :, :])
-    return tuple(np.bincount(diffs.ravel(), minlength=spec.order).tolist())
+    return tuple(_difference_counts(spec, s).tolist())
 
 
-def char_sum(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet, t: int) -> ClassVector:
-    """chi_t(S) = sum over x in S of zeta^B(t, x), kept exact as a ClassVector."""
-    m = spec.exponent
-    counts = np.bincount(pairing.exponents([t], s)[0], minlength=m)
-    return ClassVector(m, tuple(counts.tolist()))
+@lru_cache(maxsize=None)
+def _reduction_bound(m: int) -> int:
+    return int(np.abs(reduction_matrix(m)).max())
 
 
-def spectrum_entry(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet, t: int) -> ClassVector:
-    """|chi_t(S)|^2 as an exact ClassVector."""
-    return norm_sq(char_sum(spec, pairing, s, t))
+def _residue_chunks(
+    spec: GroupSpec, pairing: PairingMatrix, s: ElementSet
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, residues) for consecutive chunks of characters t = start, ...:
+    row r of residues holds the coefficients of |chi_(start+r)(S)|^2 mod Phi_m."""
+    n, m = spec.order, spec.exponent
+    if len(s) ** 2 * _reduction_bound(m) >= _INT64_BOUND:
+        raise ValueError(f"|S| = {len(s)} is too large for exact int64 spectra at exponent {m}")
+    nu = _difference_counts(spec, s)
+    support = np.flatnonzero(nu)
+    weights = nu[support]
+    reduction = reduction_matrix(m)
+    step = max(1, _CHUNK_ENTRIES // max(len(support), m))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        coeffs = np.zeros((rows, m), dtype=np.int64)
+        exponents = pairing.exponents(range(start, start + rows), support)
+        np.add.at(coeffs, (np.arange(rows)[:, None], exponents), weights)
+        yield start, coeffs @ reduction
 
 
 def exact_spectrum(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet) -> list[int | None]:
-    """Exact integer spectrum entries for all t, None where not an integer."""
-    return [as_integer(spectrum_entry(spec, pairing, s, t)) for t in range(spec.order)]
+    """Exact integer spectrum entries |chi_t(S)|^2 for all t, None where not an integer."""
+    out: list[int | None] = []
+    for _, residues in _residue_chunks(spec, pairing, s):
+        integral = ~residues[:, 1:].any(axis=1)
+        out.extend(v if ok else None for v, ok in zip(residues[:, 0].tolist(), integral.tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,47 +131,49 @@ def check_pair(
 
     Short-circuits to failure when |S|*|T| != |G|: summing the defining
     identity over all characters forces that size law, so no further work
-    can succeed.
+    can succeed.  Otherwise the first failing t is reported, and no chunk
+    of characters after the one holding it is computed.
     """
+    return _check(spec, pairing, s, t_set)[0]
+
+
+def _check(
+    spec: GroupSpec, pairing: PairingMatrix, s: ElementSet, t_set: ElementSet
+) -> tuple[DualityReport, list[int] | None]:
+    """check_pair's report and, when the identity holds, the exact spectrum
+    of S from the same kernel run (every entry is then an integer)."""
     _require_usable(spec, pairing, s, t_set)
     n = spec.order
     if len(s) * len(t_set) != n:
-        return DualityReport(
-            holds=False,
-            first_failure=Failure(
-                index=None,
-                expected=n,
-                actual=f"size law violated: |S|*|T| = {len(s) * len(t_set)} != {n} = |G|",
-            ),
-            checked_count=0,
+        failure = Failure(
+            index=None,
+            expected=n,
+            actual=f"size law violated: |S|*|T| = {len(s) * len(t_set)} != {n} = |G|",
         )
-    nu_t = weight_enumerator(spec, t_set)
+        return DualityReport(holds=False, first_failure=failure, checked_count=0), None
+    nu_t = _difference_counts(spec, t_set)
     s_sq = len(s) ** 2
     t_card = len(t_set)
-    for t in range(n):
-        entry = spectrum_entry(spec, pairing, s, t)
-        value = as_integer(entry)
-        if value is None:
-            return DualityReport(
-                holds=False,
-                first_failure=Failure(
-                    index=t,
-                    expected=s_sq * nu_t[t],
-                    actual=f"|chi_t(S)|^2 is not an integer: residue {residue(entry)}",
-                ),
-                checked_count=t + 1,
-            )
-        if t_card * value != s_sq * nu_t[t]:
-            return DualityReport(
-                holds=False,
-                first_failure=Failure(
-                    index=t,
-                    expected=s_sq * nu_t[t],
-                    actual=f"|T|*|chi_t(S)|^2 = {t_card * value}",
-                ),
-                checked_count=t + 1,
-            )
-    return DualityReport(holds=True, first_failure=None, checked_count=n)
+    spectrum: list[int] = []
+    for start, residues in _residue_chunks(spec, pairing, s):
+        integral = ~residues[:, 1:].any(axis=1)
+        values = residues[:, 0]
+        expected = s_sq * nu_t[start : start + len(residues)]
+        bad = ~integral | (t_card * values != expected)
+        if bad.any():
+            row = int(bad.argmax())
+            if integral[row]:
+                actual = f"|T|*|chi_t(S)|^2 = {t_card * int(values[row])}"
+            else:
+                coeffs = residues[row].tolist()
+                while len(coeffs) > 1 and coeffs[-1] == 0:
+                    coeffs.pop()
+                actual = f"|chi_t(S)|^2 is not an integer: residue {tuple(coeffs)}"
+            t = start + row
+            failure = Failure(index=t, expected=int(expected[row]), actual=actual)
+            return DualityReport(holds=False, first_failure=failure, checked_count=t + 1), None
+        spectrum.extend(values.tolist())
+    return DualityReport(holds=True, first_failure=None, checked_count=n), spectrum
 
 
 def check_self_dual(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet) -> DualityReport:
@@ -248,13 +289,11 @@ def make_certificate(
     if kind is None:
         kind = "pair" if t is not None else "self_dual"
     partner = t if t is not None else s
-    report = check_pair(spec, pairing, s, partner)
+    report, spectrum = _check(spec, pairing, s, partner)
     if not report.holds:
         raise CertificateError(
             f"instance does not verify: {report.first_failure.actual}"
         )
-    spectrum = exact_spectrum(spec, pairing, s)
-    assert all(v is not None for v in spectrum)
     return Certificate(
         kind=kind,
         spec=spec,
@@ -274,12 +313,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-run everything a certificate claims; returns (ok, problems)."""
     problems: list[str] = []
     partner = cert.partner
-    report = check_pair(cert.spec, cert.pairing, cert.s, partner)
+    report, spectrum = _check(cert.spec, cert.pairing, cert.s, partner)
     if not report.holds:
         problems.append(f"duality check failed: {report.first_failure.actual}")
+        spectrum = exact_spectrum(cert.spec, cert.pairing, cert.s)
     if weight_enumerator(cert.spec, partner) != cert.nu_t:
         problems.append("recorded nu table does not match recomputation")
-    spectrum = exact_spectrum(cert.spec, cert.pairing, cert.s)
     if tuple(v if v is not None else -1 for v in spectrum) != cert.spectrum:
         problems.append("recorded spectrum does not match recomputation")
     if is_primitive(cert.spec, cert.s).primitive != cert.s_primitive:

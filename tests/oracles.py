@@ -11,7 +11,10 @@ enumerate subsets or subgroups with no symmetry reduction at all, and the
 affine-orbit scan compares every image under every automorphism and
 translation, which the stabilizer-chain canonical forms are tested against.
 The reference search walks the tree one node at a time, as the search did
-before it batched the work of sibling nodes.  Aut(G) is enumerated here by
+before it batched the work of sibling nodes.  The spectrum is computed
+here one character at a time, as ``norm_sq`` of the character sum, and
+``check_pair`` is kept as the loop over characters it was before the
+library computed every character in one kernel.  Aut(G) is enumerated here by
 a depth-first search over generator images on the oracle's own addition
 table; the library's enumerator, its self-dual leaf test and a Burnside
 count of affine orbits, which the orderly walk must match, are checked
@@ -120,8 +123,8 @@ def eval_float(p):
 
 def spectrum_entry_from_nu(spec, pairing, nu, t):
     """|chi_t(S)|^2 computed as sum_d nu_S(d) * zeta^B(t, d), as a ClassVector:
-    the second route to the spectrum, which ``duality.spectrum_entry`` must
-    match coefficient by coefficient."""
+    the second route to the spectrum, which ``spectrum_entry`` must match
+    coefficient by coefficient."""
     from fdual.cyclotomic import ClassVector
 
     m = spec.exponent
@@ -131,6 +134,55 @@ def spectrum_entry_from_nu(spec, pairing, nu, t):
         if count:
             coeffs[_bilinear(pairing.entries, elems[t], elems[d], m)] += count
     return ClassVector(m, tuple(coeffs))
+
+
+def char_sum(spec, pairing, s, t):
+    """chi_t(S) = sum over x in S of zeta^B(t, x), kept exact as a ClassVector."""
+    from fdual.cyclotomic import ClassVector
+
+    m = spec.exponent
+    counts = np.bincount(pairing.exponents([t], s)[0], minlength=m)
+    return ClassVector(m, tuple(counts.tolist()))
+
+
+def spectrum_entry(spec, pairing, s, t):
+    """|chi_t(S)|^2 for one character, as ``norm_sq`` of the character sum:
+    the per-character reference for the library's all-character kernel."""
+    from fdual.cyclotomic import norm_sq
+
+    return norm_sq(char_sum(spec, pairing, s, t))
+
+
+def check_pair_loop(spec, pairing, s, t_set):
+    """``duality.check_pair`` as a loop over characters, one exact
+    ``spectrum_entry`` each, stopping at the first failure: the library's
+    chunked kernel must give the same report field by field."""
+    from fdual.cyclotomic import as_integer, residue
+    from fdual.duality import DualityReport, Failure, weight_enumerator
+
+    n = spec.order
+    if len(s) * len(t_set) != n:
+        failure = Failure(
+            index=None,
+            expected=n,
+            actual=f"size law violated: |S|*|T| = {len(s) * len(t_set)} != {n} = |G|",
+        )
+        return DualityReport(holds=False, first_failure=failure, checked_count=0)
+    nu_t = weight_enumerator(spec, t_set)
+    s_sq = len(s) ** 2
+    t_card = len(t_set)
+    for t in range(n):
+        entry = spectrum_entry(spec, pairing, s, t)
+        value = as_integer(entry)
+        if value is None:
+            actual = f"|chi_t(S)|^2 is not an integer: residue {residue(entry)}"
+        elif t_card * value != s_sq * nu_t[t]:
+            actual = f"|T|*|chi_t(S)|^2 = {t_card * value}"
+        else:
+            continue
+        failure = Failure(index=t, expected=s_sq * nu_t[t], actual=actual)
+        return DualityReport(holds=False, first_failure=failure, checked_count=t + 1)
+    return DualityReport(holds=True, first_failure=None, checked_count=n)
 
 
 def dual_side_holds(spec, pairing, s, t_set):

@@ -221,8 +221,13 @@ class TestAutomorphisms:
                 group[i].validate(spec)
 
     def test_every_table_is_additive_vectorized(self):
-        # pi(x + y) == pi(x) + pi(y) for every returned table and every pair,
-        # exhaustively, including the order-64 groups with 10^5+ automorphisms
+        # pi(x + g) == pi(x) + pi(g) for every returned table, every x and
+        # every generator g, and pi(0) == 0, exhaustively, including the
+        # order-64 groups with 10^5+ automorphisms.  That is additivity for
+        # every pair: write y as a word in the generators and induct on its
+        # length.  y = 0 holds by pi(0) == 0, and if pi(x + y) == pi(x) + pi(y)
+        # for all x, then pi(x + y + g) == pi(x + y) + pi(g)
+        # == pi(x) + pi(y) + pi(g) == pi(x) + pi(y + g).
         import numpy as np
 
         from fdual.abelian import _add_table
@@ -233,12 +238,12 @@ class TestAutomorphisms:
             group = automorphism_group(spec)
             add = _add_table(spec).astype(np.int64)
             tables = group.tables.astype(np.int64)
-            n = spec.order
-            chunk = max(1, (1 << 24) // (n * n))
+            gens = list(spec.generator_indices())
+            chunk = max(1, (1 << 24) // (spec.order * len(gens)))
             for lo in range(0, len(group), chunk):
                 block = tables[lo : lo + chunk]
-                lhs = block[:, add]  # pi(x + y)
-                rhs = add[block[:, :, None], block[:, None, :]]  # pi(x) + pi(y)
+                lhs = block[:, add[:, gens]]  # pi(x + g)
+                rhs = add[block[:, :, None], block[:, None, gens]]  # pi(x) + pi(g)
                 assert (lhs == rhs).all(), spec.orders
                 assert (block[:, 0] == 0).all()
 

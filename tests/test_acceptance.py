@@ -27,7 +27,6 @@ from fdual.duality import (
     check_pair,
     check_self_dual,
     exact_spectrum,
-    spectrum_entry,
     weight_enumerator,
 )
 from fdual.primitivity import is_in_proper_coset, is_union_of_cosets
@@ -42,6 +41,7 @@ from oracles import (
     float_self_dual_holds,
     in_proper_coset_oracle,
     oracle_neg,
+    spectrum_entry,
     union_of_cosets_oracle,
 )
 

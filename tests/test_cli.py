@@ -230,3 +230,46 @@ class TestSearch:
         assert _parse_budget("10^18") == 10 ** 18
         assert _parse_budget("9223372036854775807") == 2 ** 63 - 1
         assert _parse_budget("1^100000000") == 1
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_parsers(self, theorem21_path, tmp_path, capsys):
+        # main builds its parser once; calls in one process, including ones
+        # that fail in argparse (exit 2 by SystemExit) or in the command,
+        # must behave as if each had a parser of its own
+        from fdual import cli
+
+        z8 = _write(tmp_path, "z8.json", {"group": {"orders": [8]}, "S": [[0], [1]]})
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json")
+        calls = [
+            ["verify", str(theorem21_path)],
+            ["spectrum", z8],
+            ["search", "--group", "4"],  # missing --size: argparse error
+            ["nu", z8],
+            ["verify", str(garbage)],
+            ["search", "--group", "4", "--size", "2", "--budget", "2^64",
+             "--out", str(tmp_path / "r")],
+            ["primitive", z8],
+            ["search", "--group", "4", "--size", "2", "--out", str(tmp_path / "r")],
+            ["verify", "--no-such-flag", z8],
+            ["spectrum", z8],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 2, 0, 0, 2, 0]

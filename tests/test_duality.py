@@ -17,17 +17,22 @@ from fdual.cyclotomic import as_integer, residue
 from fdual.duality import (
     Certificate,
     CertificateError,
-    char_sum,
     check_pair,
     check_self_dual,
     exact_spectrum,
     make_certificate,
-    spectrum_entry,
     verify_certificate,
     weight_enumerator,
 )
 
-from oracles import dual_side_holds, eval_float, oracle_neg, spectrum_entry_from_nu
+from oracles import (
+    char_sum,
+    dual_side_holds,
+    eval_float,
+    oracle_neg,
+    spectrum_entry,
+    spectrum_entry_from_nu,
+)
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))

@@ -23,7 +23,7 @@ from fdual.abelian import (
 from fdual.cli import main
 from fdual.cyclotomic import as_integer
 from fdual.primitivity import is_primitive
-from fdual.duality import check_pair, spectrum_entry, verify_certificate
+from fdual.duality import check_pair, verify_certificate
 from fdual.search import (
     CheckpointError,
     CheckpointRecord,
@@ -47,6 +47,7 @@ from oracles import (
     reference_result,
     reference_walk,
     self_dual_gather_oracle,
+    spectrum_entry,
 )
 
 Z4 = GroupSpec((4,))
