@@ -565,6 +565,12 @@ class _ChainLevel(NamedTuple):
     rho: np.ndarray | None
 
 
+# a canonicity walk takes its extensions in blocks whose translate rows hold
+# at most _WALK_ENTRIES entries; an advance can multiply the rows by up to
+# |S|, so this keeps the walk's temporaries to a few MB
+_WALK_ENTRIES = 1 << 14
+
+
 class AffineReducer:
     """Orbit minima of subsets under automorphisms composed with translations.
 
@@ -584,11 +590,12 @@ class AffineReducer:
     on first use and cached by prefix, which the depth-first search shares
     between neighbouring nodes.
 
-    ``canonical_children`` tests all one-element extensions of a node in a
-    single walk: their prefixes are the node's, so they share every level,
-    and the rows of all of them go down together.  ``is_canonical`` is that
-    walk with one child.  ``canonical_form`` takes the same chain, choosing
-    the minimum at each level.
+    ``canonical_extensions`` tests the one- or two-element extensions of a
+    node in a single walk: their prefixes are the node's except for the
+    last level of a two-element tail, so the rows of all of them go down
+    together.  ``canonical_children`` is that walk with the node's children
+    and ``is_canonical`` with one child.  ``canonical_form`` takes the same
+    chain, choosing the minimum at each level.
 
     A capped group holds the identity alone, so the orbit is the
     translation orbit: exact for that group and sound for pruning, though
@@ -649,57 +656,100 @@ class AffineReducer:
     def is_canonical(self, indices: Sequence[int]) -> bool:
         """True iff the sorted index list is its own canonical form."""
         node = list(map(int, indices))
-        return bool(self.canonical_children(node[:-1], node[-1:])[0])
+        return bool(self.canonical_extensions(node[:-1], [node[-1:]])[0])
 
     def canonical_children(self, node: Sequence[int], cands: Sequence[int]) -> np.ndarray:
-        """Boolean array equal to ``[is_canonical(node + [y]) for y in cands]``.
+        """Boolean array equal to ``[is_canonical(node + [y]) for y in cands]``."""
+        return self.canonical_extensions(node, np.asarray(cands, dtype=np.intp))
 
-        Hot path of the search pruning.  All children of a node walk the
-        chain levels of its prefix, so the walk goes down once with the
-        translate rows of every child stacked and ``sib`` naming the child
-        of each row.  At each level a child drops out when one of its rows
-        can take a smaller next element than the child's own; the rows of
-        the others that attain it go on.  At the identity level each
-        child's rows are compared with it as sorted lists.
+    def canonical_extensions(self, node: Sequence[int], tails) -> np.ndarray:
+        """Boolean array equal to ``[is_canonical(node + list(t)) for t in tails]``
+        for a (k, w) array of increasing tails above the node, w = 1 or 2 (a
+        1-D array is read as k tails of width 1).
+
+        Hot path of the search pruning.  The extensions share the chain
+        levels of the node's prefix, so the walk goes down once with the
+        translate rows of every extension stacked and ``ext`` naming the
+        extension of each row.  At each level an extension drops out when
+        one of its rows can take a smaller next element than its own; the
+        rows of the others that attain it go on.  A tail (x, a) meets one
+        more level, the one fixing node[1:] + (x,): it differs per x only,
+        so its ``om`` arrays are stacked, one per x, and gathered per row.
+        At an identity level above the last position each extension's rows
+        are compared with it as sorted lists.
         """
         node = list(map(int, node))
-        ys = np.asarray(cands, dtype=np.intp)
+        tails = np.asarray(tails, dtype=np.intp)
+        if tails.ndim == 1:
+            tails = tails[:, None]
+        k, w = tails.shape
         if not node:
-            return ys == 0
-        out = np.zeros(len(ys), dtype=bool)
-        if node[0] != 0 or not len(ys):
+            out = tails[:, 0] == 0
+            if w == 2:
+                out[out] = self.canonical_extensions([0], tails[out, 1:])
             return out
-        d = len(node)
-        kids = np.empty((len(ys), d + 1), dtype=np.intp)
-        kids[:, :d] = node
-        kids[:, d] = ys
-        rows = self._sub[kids[:, :, None], kids[:, None, :]].reshape(-1, d + 1)
-        sib = np.repeat(np.arange(len(ys)), d + 1)
-        for depth in range(1, d + 1):
-            level = self._level(tuple(node[1:depth]))
-            if level.om is None:
-                images = np.sort(rows, axis=1)
-                ref = kids[sib]
-                first = (images != ref).argmax(axis=1)
-                smaller = (images < ref)[np.arange(len(sib)), first]
-                out[sib] = True
-                out[sib[smaller]] = False
-                return out
-            om = level.om[rows]
-            target = kids[sib, depth][:, None]
+        out = np.zeros(k, dtype=bool)
+        if node[0] != 0 or not k:
+            return out
+        d, size = len(node), len(node) + w
+        block = max(1, _WALK_ENTRIES // (size * size))
+        if k > block:
+            return np.concatenate([
+                self.canonical_extensions(node, tails[lo : lo + block])
+                for lo in range(0, k, block)
+            ])
+        full = np.empty((k, size), dtype=np.intp)
+        full[:, :d] = node
+        full[:, d:] = tails
+        rows = self._sub[full[:, :, None], full[:, None, :]].reshape(-1, size)
+        ext = np.repeat(np.arange(k), size)
+        for depth in range(1, size):
+            if depth <= d:
+                level = self._level(tuple(node[1:depth]))
+                if level.om is None:
+                    images = np.sort(rows, axis=1)
+                    ref = full[ext]
+                    first = (images != ref).argmax(axis=1)
+                    smaller = (images < ref)[np.arange(len(ext)), first]
+                    out[ext] = True
+                    out[ext[smaller]] = False
+                    return out
+                om = level.om[rows]
+            else:
+                om = self._last_minima(tuple(node[1:]), tails[ext, 0], rows)
+            target = full[ext, depth][:, None]
             low = om.min(axis=1) < target[:, 0]
             if low.any():
-                dead = np.zeros(len(ys), dtype=bool)
-                dead[sib[low]] = True
-                keep = ~dead[sib]
-                rows, om, target, sib = rows[keep], om[keep], target[keep], sib[keep]
-                if not len(sib):
+                dead = np.zeros(k, dtype=bool)
+                dead[ext[low]] = True
+                keep = ~dead[ext]
+                rows, om, target, ext = rows[keep], om[keep], target[keep], ext[keep]
+                if not len(ext):
                     return out
-            if depth < d:
+            if depth < size - 1:
                 rows, src = self._advance(level, rows, om, target)
-                sib = sib[src]
-        out[sib] = True
+                ext = ext[src]
+        out[ext] = True
         return out
+
+    def _last_minima(self, prefix: tuple[int, ...], xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``om`` of each row under the level fixing prefix + (x,), one x per
+        row, for the last position.  Where that level is the identity, the
+        one element left unmatched is its own orbit minimum."""
+        n = self.spec.order
+        present = np.zeros(n, dtype=bool)
+        present[xs] = True
+        distinct = np.flatnonzero(present).tolist()
+        stack = np.empty((len(distinct), n), dtype=self.tables.dtype)
+        for i, x in enumerate(distinct):
+            om = self._level(prefix + (x,)).om
+            if om is None:
+                om = np.arange(n)
+                om[[0, *prefix, x]] = n
+            stack[i] = om
+        which = np.empty(n, dtype=np.intp)
+        which[distinct] = np.arange(len(distinct))
+        return stack[which[xs][:, None], rows]
 
     def canonical_form(self, indices: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic orbit minimum; one walk, since the orbit is a group orbit."""

@@ -19,10 +19,8 @@ from .abelian import ElementSet, GroupSpec, PairingMatrix, standard_pairing
 from .duality import (
     Certificate,
     CertificateError,
-    check_pair,
-    check_self_dual,
+    certify,
     exact_spectrum,
-    make_certificate,
     verify_certificate,
     weight_enumerator,
 )
@@ -163,13 +161,8 @@ def _cmd_verify(args) -> int:
                 "pairing only (other isomorphisms are not excluded)",
                 file=sys.stderr,
             )
-    if mode == "pair":
-        report = check_pair(inst.spec, pairing, s, inst.t)
-        partner = inst.t
-    else:
-        report = check_self_dual(inst.spec, pairing, s)
-        partner = s
-
+    t = inst.t if mode == "pair" else None
+    report, cert = certify(inst.spec, pairing, s, t=t, kind=mode)
     if not report.holds:
         f = report.first_failure
         where = "size law" if f.index is None else f"character index {f.index}"
@@ -177,10 +170,9 @@ def _cmd_verify(args) -> int:
         print(f"checked {report.checked_count} of {inst.spec.order} identities")
         return EXIT_FAILS
 
-    cert = make_certificate(inst.spec, pairing, s, t=inst.t if mode == "pair" else None, kind=mode)
     print(
         f"verified: {mode} holds exactly on all {report.checked_count} characters; "
-        f"|S|={len(s)} |T|={len(partner)} "
+        f"|S|={len(s)} |T|={len(cert.partner)} "
         f"S primitive={cert.s_primitive} T primitive={cert.t_primitive}"
     )
     if args.emit_certificate:

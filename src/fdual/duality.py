@@ -274,27 +274,22 @@ class Certificate:
             raise CertificateError(f"certificate is missing field {exc}") from exc
 
 
-def make_certificate(
+def certify(
     spec: GroupSpec,
     pairing: PairingMatrix,
     s: ElementSet,
     t: ElementSet | None = None,
     kind: str | None = None,
-) -> Certificate:
-    """Run the exact check and primitivity tests and freeze the result.
-
-    Raises :class:`CertificateError` when the instance does not verify; only
-    verified instances become certificates.
-    """
+) -> tuple[DualityReport, Certificate | None]:
+    """The exact check of S against T (S itself when T is None) and, when it
+    holds, the certificate with its primitivity tests, from one kernel run."""
     if kind is None:
         kind = "pair" if t is not None else "self_dual"
     partner = t if t is not None else s
     report, spectrum = _check(spec, pairing, s, partner)
     if not report.holds:
-        raise CertificateError(
-            f"instance does not verify: {report.first_failure.actual}"
-        )
-    return Certificate(
+        return report, None
+    return report, Certificate(
         kind=kind,
         spec=spec,
         pairing=pairing,
@@ -307,6 +302,26 @@ def make_certificate(
         version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
+
+
+def make_certificate(
+    spec: GroupSpec,
+    pairing: PairingMatrix,
+    s: ElementSet,
+    t: ElementSet | None = None,
+    kind: str | None = None,
+) -> Certificate:
+    """Run the exact check and primitivity tests and freeze the result.
+
+    Raises :class:`CertificateError` when the instance does not verify; only
+    verified instances become certificates.
+    """
+    report, cert = certify(spec, pairing, s, t, kind)
+    if cert is None:
+        raise CertificateError(
+            f"instance does not verify: {report.first_failure.actual}"
+        )
+    return cert
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:

@@ -13,18 +13,21 @@ form, not a hope, and is additionally tested against no-symmetry brute
 force on small groups.  The minimality test walks a chain of point
 stabilizers of Aut(G) along the node's own prefix (see
 :class:`fdual.abelian.AffineReducer`) rather than scanning every
-automorphism, and one walk tests all children of a node.  When |Aut(G)|
-is above the cap, the orbit is the translation orbit alone: still
-complete, but equivalent orbits may be reported separately, and the run
-says so in its caveats.
+automorphism, and one walk tests all children, or all grandchildren, of a
+node.  When |Aut(G)| is above the cap, the orbit is the translation orbit
+alone: still complete, but equivalent orbits may be reported separately,
+and the run says so in its caveats.
 
-Leaves are screened with a vectorized float spectrum first (prune only when
-the exact identity certainly fails), then canonically gated, then handed to
-the exact leaf test.  Below a node of depth size - 2 the last two levels
-form one screen over every leaf pair the budget allows, so the per-node
-work of the two deepest levels is one call per node.  Every emitted
-certificate has passed the exact integer check and primitivity for both
-sets.
+Below a node of depth size - 3 the last three levels are one batch: one
+walk gates its children, one more the grandchildren of the canonical ones,
+and one cut of the nodes' costs in DFS order at the budget gives every
+count, so no loop runs per node there.  Leaves wait in a buffer for the
+whole task and are float-screened in chunks (prune only when the exact
+identity certainly fails): first on one character per Galois orbit
+t -> u*t, then on every character for the survivors, which gives the
+verdicts of the full screen bit for bit.  Survivors are canonically gated,
+then handed to the exact leaf test.  Every emitted certificate has passed
+the exact integer check and primitivity for both sets.
 
 Budget stops are loud: a budget-terminated run is flagged incomplete and
 never claims non-existence.
@@ -50,6 +53,7 @@ from .abelian import (
     ElementSet,
     GroupSpec,
     _aut_images,
+    _multiples,
     _sub_table,
     _tables_from_images,
     automorphism_group,
@@ -253,6 +257,13 @@ class _SearchContext:
         everything = range(self.n)
         exponents = self.pairing0.exponents(everything, everything)
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
+        # one nonzero character t per orbit of t -> u*t, u a unit mod m: its
+        # |chi_t(S)|^2 and those of its orbit are Galois conjugates
+        m = spec.exponent
+        units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+        lowest = _multiples(spec)[units].min(axis=0)
+        self.orbit_rows = np.flatnonzero(lowest == np.arange(self.n))[1:]
+        self.orbit_matrix = self.char_matrix[self.orbit_rows]
         self.auts = automorphism_group(spec)
         self.reducer = self.auts.reducer
 
@@ -424,12 +435,13 @@ def screen_partial(config: SearchConfig, node: Sequence[int]) -> bool:
 
 
 def _canonical_mask(
-    config: SearchConfig, ctx: _SearchContext, node: list[int], xs: range
-) -> list[bool]:
-    """Which children node + [x], x in xs, survive symmetry pruning."""
+    config: SearchConfig, ctx: _SearchContext, node: list[int], tails
+) -> np.ndarray:
+    """Which extensions node + tail survive symmetry pruning; ``tails`` holds
+    children (1-D) or grandchild tails (k, 2)."""
     if config.symmetry != "affine":
-        return [True] * len(xs)
-    return ctx.reducer.canonical_children(node, xs).tolist()
+        return np.ones(len(tails), dtype=bool)
+    return ctx.reducer.canonical_extensions(node, tails)
 
 
 def _enumerate_frontier(
@@ -455,7 +467,7 @@ def _enumerate_frontier(
             out.append(tuple(node))
             return
         xs = range(node[-1] + 1, n)
-        for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs)):
+        for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs).tolist()):
             visit(node + [x], ok)
 
     for r in roots:
@@ -472,45 +484,163 @@ def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
 _SCREEN_CHUNK = 512
 
 
-def _screen_leaves(
+def _float_passes(
+    partials: np.ndarray, matrix: np.ndarray, cols: np.ndarray, ratio: float
+) -> np.ndarray:
+    """Which leaves pass the float screen on the characters whose rows
+    ``partials`` and ``matrix`` hold.  A leaf is a row of ``cols``: a column
+    of ``partials``, then the character columns added to it in tree order.
+    It passes when every |chi_t(S)|^2 / ratio is within FLOAT_SCREEN_TOL /
+    ratio of an integer, ratio = |S|^2 / |T|."""
+    sums = partials[:, cols[:, 0]] + matrix[:, cols[:, 1]]
+    for j in range(2, cols.shape[1]):
+        sums += matrix[:, cols[:, j]]
+    q = np.abs(sums) ** 2 / ratio
+    return (np.abs(q - np.round(q)) * ratio).max(axis=0) <= FLOAT_SCREEN_TOL
+
+
+def _screen(ctx: _SearchContext, ratio: float, partials: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``_float_passes`` on every character, in two stages.
+
+    Stage 1 reads one nonzero character per orbit of t -> u*t
+    (``ctx.orbit_rows``).  Their values are Galois conjugates of the rest,
+    equal to them when integers, so stage 1 prunes nearly every leaf the
+    full screen prunes.  Stage 2 reads every character for the leaves
+    stage 1 keeps.  Each row's value is computed by the same additions in
+    both, so the verdicts are those of one full-row screen, bit for bit.
+    """
+    keep = _float_passes(partials[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
+    keep[keep] = _float_passes(partials, ctx.char_matrix, cols[keep], ratio)
+    return keep
+
+
+class _Leaves:
+    """The leaves of one task, screened, gated and exact-tested in DFS order.
+
+    Batches add runs of leaves node + prefix + (b,), b = first, first + 1,
+    ...  Once _SCREEN_CHUNK leaves wait, all waiting leaves are screened
+    (``_screen``) in chunks of at most _SCREEN_CHUNK columns, whatever
+    batch nodes they come from.  A leaf's spectrum is its batch node's
+    partial spectrum plus one character column per prefix element and b,
+    added in tree order: the sum the walk would build one level at a time.
+    """
+
+    def __init__(
+        self, config: SearchConfig, ctx: _SearchContext, stats: SearchStats, hits: list[Certificate]
+    ):
+        self.config, self.ctx, self.stats, self.hits = config, ctx, stats, hits
+        self.leaf_test = _leaf_tester(config, ctx)
+        self.ratio = config.target_size ** 2 / config.partner_size
+        self.nodes: list[tuple[int, ...]] = []
+        self.partials: list[np.ndarray] = []
+        self.runs: list[np.ndarray] = []  # rows: node id, prefix..., first, count
+        self.waiting = 0
+
+    def add(
+        self, node: list[int], partial: np.ndarray, prefix: np.ndarray,
+        first: np.ndarray, count: np.ndarray,
+    ) -> None:
+        total = int(count.sum())
+        if not total:
+            return
+        node_id = np.full(len(count), len(self.nodes))
+        self.nodes.append(tuple(node))
+        self.partials.append(partial)
+        self.runs.append(np.column_stack((node_id, prefix, first, count)))
+        self.waiting += total
+        if self.waiting >= _SCREEN_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Screen, gate and test every waiting leaf."""
+        if not self.waiting:
+            return
+        runs, nodes = np.concatenate(self.runs), self.nodes
+        partials = np.column_stack(self.partials)
+        self.nodes, self.partials, self.runs, self.waiting = [], [], [], 0
+        ends = np.cumsum(runs[:, -1])
+        for lo in range(0, int(ends[-1]), _SCREEN_CHUNK):
+            ids = np.arange(lo, min(lo + _SCREEN_CHUNK, int(ends[-1])))
+            r = np.searchsorted(ends, ids, side="right")
+            cols = runs[r, :-1]
+            cols[:, -1] += ids - ends[r] + runs[r, -1]  # first + place in the run
+            cols = cols[_screen(self.ctx, self.ratio, partials, cols)]
+            self.stats.pruned_by_screen += len(ids) - len(cols)
+            for row in cols.tolist():
+                self._test((*nodes[row[0]], *row[1:]))
+
+    def _test(self, leaf: tuple[int, ...]) -> None:
+        if self.config.symmetry == "affine" and not self.ctx.reducer.is_canonical(leaf):
+            self.stats.pruned_by_symmetry += 1
+            return
+        self.stats.leaves_tested += 1
+        cert = self.leaf_test(leaf)
+        if cert is not None:
+            self.stats.hits += 1
+            self.hits.append(cert)
+
+
+def _cut(costs: np.ndarray, budget: _Budget | None) -> tuple[np.ndarray, bool]:
+    """The units of each cost, in DFS order, that the budget allows, and
+    whether it allows them all; the budget is drained by as much."""
+    if budget is None:
+        return costs, True
+    allowed = np.clip(budget.remaining - (np.cumsum(costs) - costs), 0, costs)
+    budget.remaining -= int(allowed.sum())
+    return allowed, bool((allowed == costs).all())
+
+
+def _batch(
     config: SearchConfig,
     ctx: _SearchContext,
     node: list[int],
     char_partial: np.ndarray,
-    tails: np.ndarray,
     stats: SearchStats,
-    hits: list[Certificate],
-    leaf_test: Callable[[tuple[int, ...]], Certificate | None],
-) -> None:
-    """Float-screen the leaves node + tail, one per row of ``tails`` in DFS
-    order, then canonically gate and exact-test the survivors in that order.
+    budget: _Budget | None,
+    leaves: _Leaves,
+) -> bool:
+    """The last size - depth <= 3 levels below a node as one batch; returns
+    False when the budget ran out.
 
-    A leaf's spectrum is char_partial plus one character column per tail
-    element, added in tree order, so it is bit-identical to the sum the
-    walk would build one level at a time.
+    The inner nodes below it are its children x and, three levels from the
+    end, the grandchildren (x, a) of the canonical x, in DFS order.  One
+    canonicity walk gates each level; the grandchildren walked are those
+    whose position (counting one unit per node before it) is below the
+    budget, which is all any cut can reach.  A node costs one unit, plus
+    one per leaf below it when it is canonical and at depth size - 1.  One
+    cut of those costs at the budget gives every count, and the leaves it
+    allows go to the task's buffer as one run per parent.
     """
-    ratio = config.target_size ** 2 / config.partner_size
-    passes = np.empty(len(tails), dtype=bool)
-    for lo in range(0, len(tails), _SCREEN_CHUNK):
-        block = tails[lo : lo + _SCREEN_CHUNK]
-        sums = char_partial[:, None] + ctx.char_matrix[:, block[:, 0]]
-        for j in range(1, block.shape[1]):
-            sums += ctx.char_matrix[:, block[:, j]]
-        q = np.abs(sums) ** 2 / ratio
-        deviation = (np.abs(q - np.round(q)) * ratio).max(axis=0)
-        passes[lo : lo + len(block)] = deviation <= FLOAT_SCREEN_TOL
-    stats.pruned_by_screen += len(tails) - int(passes.sum())
-    affine = config.symmetry == "affine"
-    for tail in tails[passes].tolist():
-        leaf = (*node, *tail)
-        if affine and not ctx.reducer.is_canonical(leaf):
-            stats.pruned_by_symmetry += 1
-            continue
-        stats.leaves_tested += 1
-        cert = leaf_test(leaf)
-        if cert is not None:
-            stats.hits += 1
-            hits.append(cert)
+    n = ctx.n
+    levels = config.target_size - len(node)
+    first = node[-1] + 1
+    if levels == 1:
+        allowed, finished = _cut(np.array([n - first]), budget)
+        stats.nodes_visited += int(allowed[0])
+        leaves.add(node, char_partial, np.empty((1, 0), dtype=np.intp), np.array([first]), allowed)
+        return finished
+    xs = np.arange(first, n - levels + 1)
+    ok = _canonical_mask(config, ctx, node, xs)
+    if levels == 2:
+        prefix, parents = xs[:, None], ok
+    else:
+        # each x, then its grandchildren (x, x + 1), ... when x is canonical
+        per = np.where(ok, n - 2 - xs, 0) + 1
+        child = np.repeat(np.arange(len(xs)), per)
+        offset = np.arange(len(child)) - np.repeat(np.cumsum(per) - per, per)
+        prefix = np.column_stack((xs[child], xs[child] + offset))
+        grand = offset > 0
+        walk = grand if budget is None else grand & (np.arange(len(child)) < budget.remaining)
+        ok = ok[child] & ~grand
+        ok[walk] = _canonical_mask(config, ctx, node, prefix[walk])
+        parents = ok & grand
+    costs = np.where(parents, n - prefix[:, -1], 1)
+    allowed, finished = _cut(costs, budget)
+    stats.nodes_visited += int(allowed.sum())
+    stats.pruned_by_symmetry += int(np.count_nonzero((allowed > 0) & ~ok))
+    leafy = parents & (allowed > 1)
+    leaves.add(node, char_partial, prefix[leafy], prefix[leafy, -1] + 1, allowed[leafy] - 1)
+    return finished
 
 
 def _descend(
@@ -519,60 +649,22 @@ def _descend(
     node: list[int],
     char_partial: np.ndarray,
     stats: SearchStats,
-    hits: list[Certificate],
     budget: _Budget | None,
-    leaf_test: Callable[[tuple[int, ...]], Certificate | None],
+    leaves: _Leaves,
 ) -> bool:
     """Depth-first walk below a node; returns False when the budget ran out.
 
-    Children are canonically gated with one walk per node.  Below a node
-    of depth size - 2 the last two levels are one float screen: the loop
-    over the next element does the budget and the counting, and the leaf
-    pairs it allows are screened together.
+    Above depth size - 3 a node gates its children with one canonicity
+    walk, and a loop over them does the budget and the counting and
+    recurses into the canonical ones.  From depth size - 3 on, the levels
+    left are one batch (``_batch``) with no per-element loop.
     """
     size = config.target_size
-    n = ctx.n
     depth = len(node)
-
-    if depth == size - 1:
-        tails = np.arange(node[-1] + 1, n)
-        allowed = len(tails) if budget is None else budget.drain(len(tails))
-        stats.nodes_visited += allowed
-        _screen_leaves(config, ctx, node, char_partial, tails[:allowed, None],
-                       stats, hits, leaf_test)
-        return allowed == len(tails)
-
-    xs = range(node[-1] + 1, n - size + depth + 1)
-    canonical = _canonical_mask(config, ctx, node, xs)
-    if depth == size - 2:
-        firsts: list[int] = []
-        counts: list[int] = []
-        finished = True
-        for x, ok in zip(xs, canonical):
-            if budget is not None and budget.drain(1) == 0:
-                finished = False
-                break
-            stats.nodes_visited += 1
-            if not ok:
-                stats.pruned_by_symmetry += 1
-                continue
-            want = n - 1 - x
-            allowed = want if budget is None else budget.drain(want)
-            stats.nodes_visited += allowed
-            firsts.append(x)
-            counts.append(allowed)
-            if allowed < want:
-                finished = False
-                break
-        sizes = np.array(counts, dtype=np.intp)
-        a = np.repeat(np.array(firsts, dtype=np.intp), sizes)
-        # b counts a + 1, a + 2, ... along each run of equal a
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        _screen_leaves(config, ctx, node, char_partial, np.column_stack((a, b)),
-                       stats, hits, leaf_test)
-        return finished
-
-    for x, ok in zip(xs, canonical):
+    if depth >= size - 3:
+        return _batch(config, ctx, node, char_partial, stats, budget, leaves)
+    xs = range(node[-1] + 1, ctx.n - size + depth + 1)
+    for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs).tolist()):
         if budget is not None and budget.drain(1) == 0:
             return False
         stats.nodes_visited += 1
@@ -581,14 +673,7 @@ def _descend(
             continue
         node.append(x)
         finished = _descend(
-            config,
-            ctx,
-            node,
-            char_partial + ctx.char_matrix[:, x],
-            stats,
-            hits,
-            budget,
-            leaf_test,
+            config, ctx, node, char_partial + ctx.char_matrix[:, x], stats, budget, leaves
         )
         node.pop()
         if not finished:
@@ -607,16 +692,9 @@ def _run_task(
     stats = SearchStats()
     hits: list[Certificate] = []
     char_partial = ctx.char_matrix[:, list(task)].sum(axis=1)
-    finished = _descend(
-        config,
-        ctx,
-        list(task),
-        char_partial,
-        stats,
-        hits,
-        budget,
-        _leaf_tester(config, ctx),
-    )
+    leaves = _Leaves(config, ctx, stats, hits)
+    finished = _descend(config, ctx, list(task), char_partial, stats, budget, leaves)
+    leaves.flush()
     return stats, hits, finished
 
 

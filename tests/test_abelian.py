@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from fdual import abelian
 from fdual.abelian import (
     DEFAULT_AUT_CAP,
     AffineReducer,
@@ -28,6 +30,7 @@ from fdual.abelian import (
 from oracles import (
     abelian_group_orders,
     aut_tables_oracle,
+    chain_is_canonical,
     oracle_add,
     oracle_neg,
     scan_canonical_form,
@@ -527,3 +530,97 @@ class TestStabilizerChain:
     def test_reducer_built_once_per_group(self):
         auts = automorphism_group(Z2Z4)
         assert auts.reducer is auts.reducer
+
+
+def _grandchild_tails(first, stop):
+    return np.array([(x, a) for x in range(first, stop) for a in range(x + 1, stop)],
+                    dtype=np.intp).reshape(-1, 2)
+
+
+def _children_per_x(reducer, node, first, stop):
+    """canonical_children(node + [x], range(x + 1, stop)) for every x, joined."""
+    out = []
+    for x in range(first, stop):
+        out += reducer.canonical_children([*node, x], range(x + 1, stop)).tolist()
+    return out
+
+
+class TestExtensionWalk:
+    """The width-2 walk over grandchildren node + (x, a) against one
+    children walk per x, and against the scans."""
+
+    @pytest.mark.parametrize("orders", abelian_group_orders(16))
+    def test_grandchildren_of_every_small_node(self, orders):
+        # every 0-containing node of size <= 4, every (x, a) above it
+        spec = GroupSpec(orders)
+        reducer = AffineReducer(spec, automorphism_group(spec))
+        forms = _small_forms(orders)
+        n = spec.order
+        for size in range(1, min(4, n - 2) + 1):
+            for node in forms[size]:
+                tails = _grandchild_tails(node[-1] + 1, n)
+                got = reducer.canonical_extensions(node, tails)
+                assert got.dtype == bool
+                assert got.tolist() == _children_per_x(reducer, node, node[-1] + 1, n), (orders, node)
+                assert got.tolist() == [
+                    forms[size + 2][(*node, x, a)] == (*node, x, a) for x, a in tails.tolist()
+                ], (orders, node)
+
+    @pytest.mark.parametrize("orders,count", [((8, 8), 6), ((2, 2, 4, 4), 4), ((40,), 8), ((32,), 8)])
+    def test_grandchildren_of_sampled_nodes(self, orders, count):
+        # small nodes (whose per-x last levels mix identity and larger
+        # stabilizers) and random nodes of size 4-6, half of them canonical
+        spec = GroupSpec(orders)
+        reducer = automorphism_group(spec).reducer
+        rng = random.Random(sum(orders) + 11)
+        n = spec.order
+        nodes = [(0,), (0, n // 8), (0, 1, n // 2)]
+        for i in range(count):
+            node = (0, *sorted(rng.sample(range(1, n - 12), rng.randint(3, 5))))
+            nodes.append(reducer.canonical_form(node) if i % 2 == 0 else node)
+        kinds = set()
+        for node in nodes:
+            stop = n
+            tails = _grandchild_tails(node[-1] + 1, stop)
+            got = reducer.canonical_extensions(node, tails).tolist()
+            assert got == _children_per_x(reducer, node, node[-1] + 1, stop), (orders, node)
+            for j in rng.sample(range(len(tails)), min(12, len(tails))):
+                assert got[j] == chain_is_canonical(reducer, (*node, *tails[j].tolist()))
+            kinds.update(got)
+        assert kinds == {True, False}
+
+    def test_capped_group_walks_the_identity_chain(self):
+        spec = GroupSpec((2, 8))
+        capped = automorphism_group(spec, cap=2)
+        assert not capped.complete
+        reducer = AffineReducer(spec, capped)
+        translations = np.arange(spec.order, dtype=np.int16)[None, :]
+        for size in range(1, 5):
+            for rest in itertools.combinations(range(1, spec.order - 2), size - 1):
+                node = (0, *rest)
+                tails = _grandchild_tails(node[-1] + 1, spec.order)
+                assert reducer.canonical_extensions(node, tails).tolist() == [
+                    scan_is_canonical(spec.orders, translations, (*node, x, a))
+                    for x, a in tails.tolist()
+                ], node
+
+    def test_blocks_of_extensions_agree_with_one_walk(self, monkeypatch):
+        reducer = automorphism_group(GroupSpec((40,))).reducer
+        tails = _grandchild_tails(6, 40)
+        whole = reducer.canonical_extensions([0, 1, 5], tails)
+        monkeypatch.setattr(abelian, "_WALK_ENTRIES", 7 * 25)
+        assert reducer.canonical_extensions([0, 1, 5], tails).tolist() == whole.tolist()
+        assert whole.any() and not whole.all()
+
+    def test_edge_cases(self):
+        reducer = automorphism_group(Z2Z4).reducer
+        tails = [[0, 1], [0, 5], [1, 2], [2, 6]]
+        assert reducer.canonical_extensions([], tails).tolist() == [
+            reducer.is_canonical(t) if t[0] == 0 else False for t in tails
+        ]
+        assert reducer.canonical_extensions([1, 2], [[3, 4], [3, 5]]).tolist() == [False, False]
+        assert reducer.canonical_extensions([2], [[3, 4]]).tolist() == [False]
+        assert reducer.canonical_extensions([0, 1], np.empty((0, 2), dtype=int)).tolist() == []
+        assert reducer.canonical_extensions([0], [[1], [2]]).tolist() == (
+            reducer.canonical_children([0], [1, 2]).tolist()
+        )

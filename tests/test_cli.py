@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from fdual import duality
+from fdual.abelian import ElementSet, GroupSpec, PairingMatrix
 from fdual.cli import _parse_budget, main
 
 Z4_INSTANCE = {"group": {"orders": [4]}, "S": [[0], [1]]}
@@ -49,6 +51,46 @@ class TestVerify:
         path = _write(tmp_path, "seven.json", data)
         assert main(["verify", path]) == 1
         assert "size law" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["self_dual", "pair", "fails"])
+    def test_one_kernel_run_gives_report_and_certificate(
+        self, theorem21_path, tmp_path, capsys, monkeypatch, case
+    ):
+        # the output is what check_pair and make_certificate give, from one
+        # run of the spectrum kernel
+        data = json.loads(theorem21_path.read_text())
+        if case == "pair":
+            data = {"group": {"orders": [8, 8]}, "S": [[0, j] for j in range(8)],
+                    "T": [[j, 0] for j in range(8)], "pairing": [[1, 0], [0, 1]], "mode": "pair"}
+        if case == "fails":
+            data["S"] = [c for c in data["S"] if c != [1, 1, 3, 2]] + [[1, 1, 3, 3]]
+        spec = GroupSpec(tuple(data["group"]["orders"]))
+        pairing = PairingMatrix(spec, tuple(map(tuple, data["pairing"])))
+        s = ElementSet.from_coords(spec, data["S"])
+        t = ElementSet.from_coords(spec, data["T"]) if "T" in data else None
+        report = duality.check_pair(spec, pairing, s, t or s)
+        path = _write(tmp_path, "instance.json", data)
+        cert_path = tmp_path / "cert.json"
+        runs = []
+        chunks = duality._residue_chunks
+        monkeypatch.setattr(duality, "_residue_chunks", lambda *a: runs.append(a) or chunks(*a))
+        code = main(["verify", path, "--emit-certificate", str(cert_path)])
+        out = capsys.readouterr().out
+        assert len(runs) == 1
+        if case == "fails":
+            f = report.first_failure
+            assert code == 1 and not cert_path.exists()
+            assert out == (f"FAIL at character index {f.index}: expected {f.expected}, got {f.actual}\n"
+                           f"checked {report.checked_count} of 64 identities\n")
+            return
+        cert = duality.make_certificate(spec, pairing, s, t=t, kind=case)
+        assert code == 0
+        assert _strip_timestamp(json.loads(cert_path.read_text())) == _strip_timestamp(cert.to_dict())
+        assert out == (
+            f"verified: {case} holds exactly on all 64 characters; |S|=8 |T|=8 "
+            f"S primitive={cert.s_primitive} T primitive={cert.t_primitive}\n"
+            f"certificate written to {cert_path}\n"
+        )
 
     def test_pair_instance(self, tmp_path):
         payload = {"group": {"orders": [4]}, "S": [[0], [1]], "T": [[0], [1]]}

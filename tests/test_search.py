@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fdual.abelian import (
 from fdual.cli import main
 from fdual.cyclotomic import as_integer
 from fdual.primitivity import is_primitive
-from fdual.duality import check_pair, verify_certificate
+from fdual.duality import check_pair, exact_spectrum, verify_certificate
 from fdual.search import (
     CheckpointError,
     CheckpointRecord,
@@ -461,9 +462,13 @@ def _sweep_budgets(orders, size, mode, symmetry, depth=None):
 
 
 class TestBatchedWalk:
-    """The sibling-batched walk (one canonicity walk per node, the last two
-    levels as one float screen) against the search walked one node at a
-    time: identical counts, stop points and hit lists at every budget."""
+    """The batched walk (one canonicity walk per level below a node of depth
+    size - 3, one cut of the node costs at the budget, a task-wide two-stage
+    float screen) against the search walked one node at a time: identical
+    counts, stop points and hit lists at every budget.  Tasks start above
+    depth size - 3 (default depth with size 6), at it (size 4 with depth 1,
+    size 6 with depth 3), at size - 2 (size 4, default depth) and at
+    size - 1 (depth 3 with size 4)."""
 
     @pytest.mark.parametrize("orders,size,mode,symmetry,depth", [
         ((16,), 4, "pair", "translation", None),
@@ -472,6 +477,12 @@ class TestBatchedWalk:
         ((2, 2, 4), 4, "pair", "affine", 3),
         ((4, 4), 4, "self_dual", "affine", None),
         ((24,), 6, "pair", "affine", None),
+        ((16,), 4, "pair", "translation", 1),
+        ((2, 2, 4), 4, "pair", "affine", 1),
+        ((12,), 6, "pair", "translation", None),
+        ((12,), 6, "pair", "translation", 3),
+        ((2, 6), 6, "pair", "affine", None),
+        ((5, 5), 5, "self_dual", "affine", None),
     ])
     def test_every_budget_matches_reference(self, orders, size, mode, symmetry, depth):
         stats, _, _ = _sweep_budgets(orders, size, mode, symmetry, depth)
@@ -484,6 +495,102 @@ class TestBatchedWalk:
         monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
         stats, _, hits = _sweep_budgets((4, 4), 4, "self_dual", "affine")
         assert len(hits) == 2
+
+    @pytest.mark.parametrize("orders,size,mode,symmetry,depth,hits,joined", [
+        ((5, 5), 5, "self_dual", "affine", None, 1, False),
+        ((12,), 6, "pair", "translation", 1, 0, True),
+    ])
+    def test_chunks_of_three_levels(
+        self, monkeypatch, orders, size, mode, symmetry, depth, hits, joined
+    ):
+        # chunks of 3 leaves split a batch node's leaves, and in a task with
+        # many batch nodes (the one task at depth 1) some join two nodes'
+        nodes_per_chunk = []
+        screen = search._screen
+
+        def recording(ctx, ratio, partials, cols):
+            nodes_per_chunk.append(len(set(cols[:, 0].tolist())))
+            return screen(ctx, ratio, partials, cols)
+
+        monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
+        monkeypatch.setattr(search, "_screen", recording)
+        _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth)
+        assert len(found) == hits
+        assert (max(nodes_per_chunk) > 1) == joined
+
+
+def _unit_orbits(spec):
+    """The orbits of t -> u*t, u a unit mod the exponent, from coordinates."""
+    m = spec.exponent
+    units = [u for u in range(1, m) if np.gcd(u, m) == 1]
+    images = spec.index_of(np.array(units)[:, None, None] * spec.coords[None, :, :])
+    return {frozenset(images[:, t].tolist()) for t in range(spec.order)}
+
+
+class TestTwoStageScreen:
+    """Stage 1 reads one character per orbit of t -> u*t; the exact values
+    on an orbit are Galois conjugates, equal when one of them is an integer."""
+
+    GROUPS = [(40,), (32,), (8, 8), (2, 2, 4, 4), (12,), (2, 6), (5, 5), (3, 9), (7, 7)]
+
+    @pytest.mark.parametrize("orders", GROUPS)
+    def test_orbit_rows_are_orbit_minima(self, orders):
+        spec = GroupSpec(orders)
+        orbits = _unit_orbits(spec)
+        reps = search._context(spec).orbit_rows.tolist()
+        assert sorted(reps) == sorted(min(o) for o in orbits if 0 not in o)
+
+    @pytest.mark.parametrize("orders", GROUPS)
+    def test_exact_values_agree_on_unit_orbits(self, orders):
+        spec = GroupSpec(orders)
+        pairing = standard_pairing(spec)
+        orbits = _unit_orbits(spec)
+        rng = np.random.default_rng(sum(orders))
+        n = spec.order
+        # random sets (some integer values) and subgroups (all integers)
+        sets = [rng.choice(n, size=k, replace=False).tolist() for k in (2, 3, 5, 8, 8)]
+        sets += [[int(spec.index_of(j * spec.coords[g])) for j in range(n)] for g in (1, n - 1)]
+        integral = 0
+        for s in sets:
+            spectrum = exact_spectrum(spec, pairing, ElementSet.from_indices(s))
+            for orbit in orbits:
+                values = {spectrum[t] for t in orbit}
+                known = values - {None}
+                assert len(known) <= 1 and (not known or len(values) == 1), (orders, s, orbit)
+                integral += bool(known)
+        assert integral > len(orbits)
+
+    @pytest.mark.parametrize("orders,size,thin", [
+        ((8, 8), 8, False), ((40,), 8, False), ((2, 2, 4, 4), 8, False), ((7, 7), 7, False),
+        ((8, 8), 8, True), ((2, 2, 4, 4), 8, True),
+    ])
+    def test_mask_equals_full_row_screen(self, orders, size, thin):
+        # random leaves (node id, x, a, b) plus the leaves {0, g, 2g, ...},
+        # among them subgroups, which pass; thin=True keeps one stage-1 row,
+        # so stage 2 has leaves to prune
+        spec = GroupSpec(orders)
+        ctx = search._context(spec)
+        n = spec.order
+        ratio = size ** 2 / (n // size)
+        rng = np.random.default_rng(n + size)
+        prefixes = [sorted(rng.choice(n, size=size - 3, replace=False).tolist()) for _ in range(40)]
+        cols = [(rng.integers(40), *rng.choice(n, size=3, replace=False)) for _ in range(3000)]
+        for g in range(1, n):
+            cyclic = sorted({spec.index_of(j * spec.coords[g]) for j in range(size)})
+            if len(cyclic) == size:
+                prefixes.append(cyclic[:-3])
+                cols.append((len(prefixes) - 1, *cyclic[-3:]))
+        partials = np.column_stack([ctx.char_matrix[:, p].sum(axis=1) for p in prefixes])
+        cols = np.array(cols, dtype=np.intp)
+        if thin:
+            rows = ctx.orbit_rows[:1]
+            ctx = SimpleNamespace(char_matrix=ctx.char_matrix, orbit_rows=rows,
+                                  orbit_matrix=ctx.char_matrix[rows])
+        full = search._float_passes(partials, ctx.char_matrix, cols, ratio)
+        stage1 = search._float_passes(partials[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
+        assert search._screen(ctx, ratio, partials, cols).tolist() == full.tolist()
+        assert full.any() and not full.all()
+        assert (stage1 & ~full).any() == thin
 
 
 class TestCheckpointing:
