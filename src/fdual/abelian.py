@@ -15,6 +15,7 @@ indexes them by group elements.
 from __future__ import annotations
 
 import itertools
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,6 +30,11 @@ import numpy as np
 DEFAULT_AUT_CAP = 1 << 18
 
 MAX_GROUP_ORDER = 256
+
+
+def _is_int(value) -> bool:
+    """True for an integer; bools are not (JSON ``true`` is no coordinate)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class GroupSpec:
         orders = data["orders"]
         if not isinstance(orders, list) or not orders:
             raise ValueError("group orders must be a non-empty list of integers")
-        if any(not isinstance(n, int) or isinstance(n, bool) for n in orders):
+        if not all(map(_is_int, orders)):
             raise ValueError("group orders must be integers")
         return cls(tuple(orders))
 
@@ -161,8 +167,27 @@ class ElementSet:
         return cls(mask)
 
     @classmethod
-    def from_coords(cls, spec: GroupSpec, coords_seq: Iterable[Sequence[int]]) -> "ElementSet":
-        return cls.from_indices(spec.index_of(c) for c in coords_seq)
+    def from_coords(cls, spec: GroupSpec, coords_seq, label: str = "set") -> "ElementSet":
+        """The set of a non-empty list of coordinate vectors, each a list (or
+        tuple) of spec.rank integers with 0 <= c_i < n_i.  Anything else
+        raises ValueError naming ``label``; repeated vectors collapse."""
+        if not isinstance(coords_seq, (list, tuple)) or not coords_seq:
+            raise ValueError(f"{label} must be a non-empty list of coordinate vectors")
+        indices = []
+        for item in coords_seq:
+            if not isinstance(item, (list, tuple)) or len(item) != spec.rank:
+                raise ValueError(
+                    f"{label} entries must be length-{spec.rank} coordinate lists, got {item!r}"
+                )
+            if not all(map(_is_int, item)):
+                raise ValueError(f"{label} coordinates must be integers, got {item!r}")
+            if any(not 0 <= c < n for c, n in zip(item, spec.orders)):
+                raise ValueError(
+                    f"{label} entry {item!r} has coordinates outside the factor orders "
+                    f"{list(spec.orders)}"
+                )
+            indices.append(spec.index_of(item))
+        return cls.from_indices(indices)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -268,6 +293,8 @@ class PairingMatrix:
     def __post_init__(self) -> None:
         k = self.spec.rank
         m = self.spec.exponent
+        if not all(_is_int(e) for row in self.entries for e in row):
+            raise ValueError(f"pairing entries must be integers, got {self.entries!r}")
         rows = tuple(tuple(int(e) % m for e in row) for row in self.entries)
         if len(rows) != k or any(len(row) != k for row in rows):
             raise ValueError(f"pairing matrix must be {k}x{k}")
@@ -436,69 +463,63 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
-# blocks of the image enumeration have at most _IMAGE_BLOCK // |G| rows, so
-# none of its (rows, |G|) temporaries exceeds _IMAGE_BLOCK entries
-_IMAGE_BLOCK = 1 << 20
+# blocks of the automorphism enumeration have at most _IMAGE_BLOCK // |G|
+# rows, so none of its (rows, |G|) temporaries, the int64 gather indices
+# among them, exceeds _IMAGE_BLOCK entries (1 MB)
+_IMAGE_BLOCK = 1 << 17
 
 
-def _aut_images(spec: GroupSpec, allowed: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Generator-image tuples of the automorphisms, in lexicographic order,
-    as (B, k) blocks of at most ``_IMAGE_BLOCK // |G|`` rows.
+def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndarray]:
+    """Index tables of the automorphisms, rows in lexicographic order of the
+    generator images, as (B, |G|) int16 blocks of at most
+    ``_IMAGE_BLOCK // |G|`` rows.
 
-    An image tuple (g_1, ..., g_k) with n_i * g_i = 0 defines a homomorphism
-    Z_n1 x ... x Z_nk -> G, e_i -> g_i, and it is an automorphism iff it is
-    injective: no element of prime order maps to 0.  For each prime p those
-    elements span the p-socle, which has the basis (n_i / p) e_i over the
-    slots with p | n_i.  So a tuple is an automorphism iff each socle image
-    (n_i / p) g_i lies outside the span of the earlier ones.  The tuples
-    grow slot by slot; each prefix carries the list of its span (the socle
-    images of all primes together, a direct sum) and survives while every
-    new socle image falls outside it.  ``allowed``, a (k, |G|) boolean
-    array, further restricts slot i to the elements it marks.
+    Images g_i with n_i g_i = 0 define the map x -> x_1 g_1 + ... + x_k g_k.
+    A prefix (g_1, ..., g_i) carries its partial table, the images of
+    (x_1, ..., x_i) in index order, last coordinate fastest; slot i + 1
+    extends it by one gather through the addition table, entry a * n_(i+1)
+    + y becoming T[a] + y g.  While the prefix is injective its table lists
+    the subgroup H_i it generates, and g keeps it injective iff
+    (n_(i+1) / p) g lies outside H_i for every prime p | n_(i+1).
+
+    ``match`` = (E, target), two length-|G| arrays, keeps only the alpha
+    with E[alpha(x)] == target[x] for all x: slot i admits only the g with
+    E[g] == target[e_i], and a prefix is dropped as soon as its table fails
+    on its own domain, the elements (x_1, ..., x_i, 0, ..., 0).
     """
-    n, k, m = spec.order, spec.rank, spec.exponent
-    mult, add = _multiples(spec), _add_table(spec)
+    n, m = spec.order, spec.exponent
+    mult, add = _multiples(spec), _add_table(spec).ravel()
     cands = []
-    for i, ni in enumerate(spec.orders):
+    for ni, e in zip(spec.orders, spec.generator_indices()):
         ok = mult[ni % m] == 0
-        cands.append(np.flatnonzero(ok if allowed is None else ok & allowed[i]))
+        if match is not None:
+            ok &= match[0] == match[1][e]
+        cands.append(np.flatnonzero(ok))
     primes = [list(_factorize(ni)) for ni in spec.orders]
     block = max(1, _IMAGE_BLOCK // n)
 
-    def extend(images: np.ndarray, span: np.ndarray) -> Iterator[np.ndarray]:
-        i = images.shape[1]
-        if i == k:
-            yield images
+    def extend(tables: np.ndarray, i: int) -> Iterator[np.ndarray]:
+        if i == spec.rank:
+            yield tables
             return
         c, ni = cands[i], spec.orders[i]
-        inside = np.zeros((len(images), n), dtype=bool)
-        inside[np.arange(len(images))[:, None], span] = True
-        ok = np.ones((len(images), len(c)), dtype=bool)
+        inside = np.zeros((len(tables), n), dtype=bool)
+        inside[np.arange(len(tables))[:, None], tables] = True
+        ok = np.ones((len(tables), len(c)), dtype=bool)
         for p in primes[i]:
             ok &= ~inside[:, mult[ni // p, c]]
         rows, cols = np.nonzero(ok)
         for lo in range(0, len(rows), block):
             r, g = rows[lo : lo + block], c[cols[lo : lo + block]]
-            grown = span[r]
-            if i + 1 < k:
-                for p in primes[i]:
-                    steps = mult[:p, mult[ni // p, g]].T
-                    grown = add[grown[:, :, None], steps[:, None, :]].reshape(len(r), -1)
-            yield from extend(np.column_stack((images[r], g)), grown)
+            sums = np.repeat(tables[r].astype(np.intp) * n, ni, axis=1)
+            grown = add.take(sums + np.tile(mult[:ni, g].T, tables.shape[1]))
+            if match is not None:
+                domain = np.arange(0, n, n // grown.shape[1])
+                grown = grown[(match[0][grown] == match[1][domain]).all(axis=1)]
+            if len(grown):
+                yield from extend(grown, i + 1)
 
-    yield from extend(np.zeros((1, 0), dtype=np.intp), np.zeros((1, 1), dtype=np.int16))
-
-
-def _tables_from_images(spec: GroupSpec, images: np.ndarray) -> np.ndarray:
-    """(B, N) index tables of the automorphisms with generator images
-    ``images`` (B, k).  x = (x_1, ..., x_k) maps to x_1 g_1 + ... + x_k g_k,
-    built one slot at a time in index order, last coordinate fastest."""
-    add, mult = _add_table(spec), _multiples(spec)
-    tables = np.zeros((len(images), 1), dtype=np.int16)
-    for i, ni in enumerate(spec.orders):
-        steps = mult[:ni, images[:, i]].T
-        tables = add[tables[:, :, None], steps[:, None, :]].reshape(len(images), -1)
-    return tables
+    yield from extend(np.zeros((1, 1), dtype=np.int16), 0)
 
 
 @lru_cache(maxsize=None)
@@ -523,9 +544,9 @@ def automorphism_group(spec: GroupSpec, cap: int = DEFAULT_AUT_CAP) -> Automorph
     else:
         tables = np.empty((count, spec.order), dtype=np.int16)
         filled = 0
-        for images in _aut_images(spec):
-            tables[filled : filled + len(images)] = _tables_from_images(spec, images)
-            filled += len(images)
+        for block in _aut_tables(spec):
+            tables[filled : filled + len(block)] = block
+            filled += len(block)
         if filled != count:
             raise AssertionError(f"enumerated {filled} automorphisms, expected {count}")
     tables.setflags(write=False)

@@ -25,7 +25,6 @@ from .duality import (
     weight_enumerator,
 )
 from .primitivity import is_primitive
-from .search import CheckpointError, SearchConfig, WorkerDied, run_search
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -53,25 +52,10 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_elements(spec: GroupSpec, raw, label: str) -> ElementSet:
-    if not isinstance(raw, list) or not raw:
-        raise InputError(f"{label} must be a non-empty list of coordinate vectors")
-    indices = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != spec.rank:
-            raise InputError(
-                f"{label} entries must be length-{spec.rank} coordinate lists, got {item!r}"
-            )
-        if any(not isinstance(c, int) or isinstance(c, bool) for c in item):
-            raise InputError(f"{label} coordinates must be integers, got {item!r}")
-        if any(not 0 <= c < n for c, n in zip(item, spec.orders)):
-            raise InputError(
-                f"{label} entry {item!r} has coordinates outside the factor orders "
-                f"{list(spec.orders)}"
-            )
-        indices.append(spec.index_of(item))
-    if len(set(indices)) != len(indices):
+    s = ElementSet.from_coords(spec, raw, label)
+    if len(s) != len(raw):
         raise InputError(f"{label} contains duplicate elements")
-    return ElementSet.from_indices(indices)
+    return s
 
 
 def _parse_pairing(spec: GroupSpec, raw) -> PairingMatrix:
@@ -280,6 +264,9 @@ def _default_jobs() -> int:
 
 
 def _cmd_search(args) -> int:
+    # imported here, so that the other commands never load the search code
+    from .search import CheckpointError, SearchConfig, WorkerDied, run_search
+
     jobs = _default_jobs() if args.jobs is None else args.jobs
     spec = _parse_group(args.group)
     mode = args.mode.replace("-", "_")
@@ -300,9 +287,9 @@ def _cmd_search(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_search(config, jobs=jobs)
-    except WorkerDied as exc:
+    except (CheckpointError, WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNFINISHED
+        return EXIT_BAD_INPUT if isinstance(exc, CheckpointError) else EXIT_UNFINISHED
 
     for i, cert in enumerate(result.certificates):
         _write_json(str(out_dir / f"cert_{i:04d}.json"), cert.to_dict())
@@ -381,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

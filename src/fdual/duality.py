@@ -250,8 +250,8 @@ class Certificate:
                 raise CertificateError(f"unknown certificate kind {kind!r}")
             spec = GroupSpec.from_dict(data["group"])
             pairing = PairingMatrix(spec, tuple(tuple(row) for row in data["pairing"]))
-            s = ElementSet.from_coords(spec, data["s"])
-            t = ElementSet.from_coords(spec, data["t"]) if kind == "pair" else None
+            s = ElementSet.from_coords(spec, data["s"], "s")
+            t = ElementSet.from_coords(spec, data["t"], "t") if kind == "pair" else None
             if len(s) != int(data["s_size"]) or len(t if t is not None else s) != int(data["t_size"]):
                 raise CertificateError(
                     "recorded set sizes disagree with the element lists "

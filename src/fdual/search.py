@@ -52,21 +52,14 @@ from .abelian import (
     Automorphism,
     ElementSet,
     GroupSpec,
-    _aut_images,
+    _aut_tables,
     _multiples,
     _sub_table,
-    _tables_from_images,
     automorphism_group,
     pairing_from_automorphism,
     standard_pairing,
 )
-from .duality import (
-    Certificate,
-    check_self_dual,
-    exact_spectrum,
-    make_certificate,
-    weight_enumerator,
-)
+from .duality import Certificate, certify, exact_spectrum, make_certificate, weight_enumerator
 from .primitivity import is_primitive
 
 MODES = ("pair", "self_dual")
@@ -285,11 +278,10 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     by alpha, so the exact spectrum E under the standard pairing decides
     everything: S is self-dual under the pairing of alpha iff
     E(alpha(t)) == |S| * nu_S(t) for all t.  Every isomorphism G -> G^ is
-    such a composition.  So the test enumerates all of Aut(G), capped or
-    not, with slot i restricted to the images g of e_i that have
-    E(g) == |S| * nu_S(e_i), and certifies the first alpha, in
-    lexicographic order of the generator images, whose pairing passes the
-    exact check.
+    such a composition.  So once the two sides agree as multisets, the test
+    enumerates the automorphisms with exactly that property, capped group
+    or not, pruning each prefix of generator images on its own domain, and
+    certifies the first one in lexicographic order of the images.
     """
     if not is_primitive(spec, s).primitive:
         return None
@@ -297,20 +289,16 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     spectrum = exact_spectrum(spec, pairing0, s)
     if any(v is None for v in spectrum):
         return None
-    nu = weight_enumerator(spec, s)
-    card = len(s)
-    target = np.array([card * v for v in nu], dtype=np.int64)
+    target = len(s) * np.array(weight_enumerator(spec, s), dtype=np.int64)
     e_arr = np.array(spectrum, dtype=np.int64)
-    if sorted(e_arr.tolist()) != sorted(target.tolist()):
+    if sorted(spectrum) != sorted(target.tolist()):
         return None
-    allowed = e_arr[None, :] == target[list(spec.generator_indices())][:, None]
-    for images in _aut_images(spec, allowed):
-        tables = _tables_from_images(spec, images)
-        for row in np.flatnonzero((e_arr[tables] == target).all(axis=1)):
-            alpha = Automorphism(tuple(tables[row].tolist()))
-            pairing = pairing_from_automorphism(pairing0, alpha)
-            if check_self_dual(spec, pairing, s).holds:
-                return make_certificate(spec, pairing, s, kind="self_dual")
+    for tables in _aut_tables(spec, match=(e_arr, target)):
+        for table in tables:
+            pairing = pairing_from_automorphism(pairing0, Automorphism(tuple(table.tolist())))
+            cert = certify(spec, pairing, s)[1]
+            if cert is not None:
+                return cert
     return None
 
 

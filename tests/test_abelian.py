@@ -15,7 +15,7 @@ from fdual.abelian import (
     ElementSet,
     GroupSpec,
     PairingMatrix,
-    _aut_images,
+    _aut_tables,
     affine_canonical_form,
     aut_order,
     automorphism_group,
@@ -332,16 +332,23 @@ class TestAutEnumerator:
         assert not capped.complete and len(capped) == 1
 
     def test_capped_group_enumerates_in_bounded_blocks(self):
-        # all of Aut(Z2^4 x Z4), 40x the cap, streamed in blocks: the count
-        # matches the closed form and no block exceeds 2^20 / |G| rows
+        # all of Aut(Z2^4 x Z4), 40x the cap, streamed as table blocks: the
+        # count matches the closed form, no block exceeds 2^20 / |G| rows and
+        # the generator images come in strictly increasing lexicographic order
         spec = GroupSpec((2, 2, 2, 2, 4))
+        gens = list(spec.generator_indices())
         total, last = 0, None
-        for images in _aut_images(spec):
-            assert 0 < len(images) <= (1 << 20) // spec.order
-            first = tuple(images[0].tolist())
-            assert last is None or last < first, "blocks come in lexicographic order"
-            last = tuple(images[-1].tolist())
-            total += len(images)
+        for tables in _aut_tables(spec):
+            assert tables.dtype == np.int16 and tables.shape[1] == spec.order
+            assert 0 < len(tables) <= (1 << 20) // spec.order
+            images = tables[:, gens].astype(np.int64)
+            if last is not None:
+                images = np.vstack((last, images))
+            step = np.diff(images, axis=0)
+            first = (step != 0).argmax(axis=1)
+            assert (step[np.arange(len(step)), first] > 0).all()
+            last = images[-1:]
+            total += len(tables)
         assert total == aut_order(spec) > DEFAULT_AUT_CAP
 
 

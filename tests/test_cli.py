@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +131,64 @@ class TestVerify:
         assert main(["verify", _write(tmp_path, "range.json", payload)]) == 2
         payload = {"group": {"orders": [4]}, "S": [[0], [-1]]}
         assert main(["verify", _write(tmp_path, "neg.json", payload)]) == 2
+
+
+class TestStrictInput:
+    """A certificate is read as strictly as an instance file: coordinates
+    and pairing entries that one path rejects, the other rejects too."""
+
+    @staticmethod
+    def _document(tmp_path, kind):
+        if kind == "instance":
+            return dict(Z4_INSTANCE, pairing=[[1]])
+        path = tmp_path / "cert.json"
+        instance = _write(tmp_path, "sd.json", Z4_INSTANCE)
+        assert main(["verify", instance, "--emit-certificate", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert main(["verify", str(path)]) == 0
+        return data
+
+    @pytest.mark.parametrize("kind", ["instance", "certificate"])
+    @pytest.mark.parametrize(
+        "coords",
+        [[[0], [5]], [[0.0], [1.9]], [["0"], ["1"]], [[False], [True]]],
+        ids=["out-of-range", "float", "string", "bool"],
+    )
+    def test_bad_coordinates_are_exit_2(self, tmp_path, capsys, kind, coords):
+        data = self._document(tmp_path, kind)
+        data["S" if kind == "instance" else "s"] = coords
+        capsys.readouterr()
+        assert main(["verify", _write(tmp_path, "bad.json", data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["instance", "certificate"])
+    @pytest.mark.parametrize("entry", [1.5, "1", True], ids=["float", "string", "bool"])
+    def test_bad_pairing_entries_are_exit_2(self, tmp_path, capsys, kind, entry):
+        data = self._document(tmp_path, kind)
+        data["pairing"] = [[entry]]
+        capsys.readouterr()
+        assert main(["verify", _write(tmp_path, "bad.json", data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "pairing entries must be integers" in captured.err
+
+    def test_instance_messages_name_the_set(self, tmp_path, capsys):
+        payload = {"group": {"orders": [4]}, "S": [[0], [1.5]]}
+        assert main(["verify", _write(tmp_path, "float.json", payload)]) == 2
+        assert capsys.readouterr().err == "error: S coordinates must be integers, got [1.5]\n"
+
+
+def test_verify_does_not_import_search(tmp_path):
+    path = _write(tmp_path, "sd.json", Z4_INSTANCE)
+    code = (
+        "import sys\n"
+        "from fdual import cli\n"
+        f"assert cli.main(['verify', {path!r}]) == 0\n"
+        "assert 'fdual.search' not in sys.modules, 'fdual verify imported fdual.search'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTables:

@@ -15,6 +15,7 @@ import pytest
 from fdual.abelian import (
     DEFAULT_AUT_CAP,
     ElementSet,
+    _aut_tables,
     GroupSpec,
     affine_canonical_form,
     aut_order,
@@ -24,7 +25,7 @@ from fdual.abelian import (
 from fdual.cli import main
 from fdual.cyclotomic import as_integer
 from fdual.primitivity import is_primitive
-from fdual.duality import check_pair, exact_spectrum, verify_certificate
+from fdual.duality import check_pair, exact_spectrum, verify_certificate, weight_enumerator
 from fdual.search import (
     CheckpointError,
     CheckpointRecord,
@@ -234,6 +235,44 @@ class TestSelfDualLeafAgainstGather:
                 assert _without_timestamp(got) == _without_timestamp(expected), s
                 found += 1
         assert found == hits
+
+    @staticmethod
+    def _assert_prefix_filter_matches(spec, s):
+        # the enumerator's slot and prefix filter keeps exactly the rows the
+        # gather over every finished table keeps, in the same order
+        e = np.array(exact_spectrum(spec, standard_pairing(spec), s), dtype=np.int64)
+        target = len(s) * np.array(weight_enumerator(spec, s), dtype=np.int64)
+        tables = automorphism_group(spec).tables
+        expected = tables[(e[tables] == target).all(axis=1)]
+        blocks = list(_aut_tables(spec, match=(e, target)))
+        got = np.concatenate(blocks) if blocks else np.empty((0, spec.order), dtype=np.int16)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), s
+        return len(expected)
+
+    @pytest.mark.parametrize("orders", [(4, 4), (2, 8), (2, 2, 2, 2), (3, 3), (9,)])
+    def test_prefix_filter_matches_post_filter(self, orders):
+        spec = GroupSpec(orders)
+        size = int(round(spec.order ** 0.5))
+        kept = 0
+        for rest in itertools.combinations(range(1, spec.order), size - 1):
+            s = ElementSet.from_indices((0,) + rest)
+            if None not in exact_spectrum(spec, standard_pairing(spec), s):
+                kept += self._assert_prefix_filter_matches(spec, s)
+        assert kept > 0
+
+    def test_prefix_filter_matches_post_filter_theorem21(self, order64_spec, order64_set):
+        assert self._assert_prefix_filter_matches(order64_spec, order64_set) > 0
+
+    def test_capped_example_certificate_is_pinned(self):
+        # a primitive self-dual 8-set of Z2^4 x Z4, whose Aut(G) is above the
+        # cap; the pairing is that of the first alpha in lexicographic order
+        spec = GroupSpec((2, 2, 2, 2, 4))
+        cert = self_dual_leaf_test(spec, ElementSet.from_indices([0, 4, 15, 25, 40, 57, 60, 63]))
+        assert cert is not None and cert.kind == "self_dual"
+        assert cert.pairing.entries == (
+            (0, 2, 0, 0, 2), (2, 0, 0, 0, 2), (0, 0, 0, 2, 0), (0, 0, 2, 0, 0), (2, 2, 0, 0, 1)
+        )
+        assert verify_certificate(cert)[0]
 
     def test_capped_group_bounded_memory(self):
         # Aut(Z2^4 x Z4) is 40x the cap.  The test still covers every pairing,
