@@ -157,6 +157,9 @@ class ElementSet:
     def __setattr__(self, name, value):
         raise AttributeError("ElementSet is immutable")
 
+    def __reduce__(self):
+        return ElementSet, (self.mask,)
+
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "ElementSet":
         mask = 0

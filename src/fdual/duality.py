@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .abelian import ElementSet, GroupSpec, PairingMatrix
+from .abelian import ElementSet, GroupSpec, PairingMatrix, _is_int
 from .cyclotomic import reduction_matrix
 from .primitivity import is_primitive
 
@@ -252,7 +252,15 @@ class Certificate:
             pairing = PairingMatrix(spec, tuple(tuple(row) for row in data["pairing"]))
             s = ElementSet.from_coords(spec, data["s"], "s")
             t = ElementSet.from_coords(spec, data["t"], "t") if kind == "pair" else None
-            if len(s) != int(data["s_size"]) or len(t if t is not None else s) != int(data["t_size"]):
+            sizes, tables = (data["s_size"], data["t_size"]), (data["nu_t"], data["spectrum"])
+            flags = (data["s_primitive"], data["t_primitive"])
+            if not all(map(_is_int, sizes)):
+                raise CertificateError(f"set sizes must be integers, got {list(sizes)}")
+            if not all(isinstance(v, list) and all(map(_is_int, v)) for v in tables):
+                raise CertificateError("nu_t and spectrum must be lists of integers")
+            if not all(isinstance(f, bool) for f in flags):
+                raise CertificateError(f"primitivity flags must be true or false, got {list(flags)}")
+            if sizes != (len(s), len(t if t is not None else s)):
                 raise CertificateError(
                     "recorded set sizes disagree with the element lists "
                     "(duplicate or missing entries?)"
@@ -263,10 +271,10 @@ class Certificate:
                 pairing=pairing,
                 s=s,
                 t=t,
-                nu_t=tuple(data["nu_t"]),
-                spectrum=tuple(data["spectrum"]),
-                s_primitive=bool(data["s_primitive"]),
-                t_primitive=bool(data["t_primitive"]),
+                nu_t=tuple(tables[0]),
+                spectrum=tuple(tables[1]),
+                s_primitive=flags[0],
+                t_primitive=flags[1],
                 version=str(data["version"]),
                 timestamp=str(data.get("timestamp", "")),
             )

@@ -2,16 +2,18 @@
 reduction, deterministic parallel task splitting, and checkpoint/resume.
 
 Subsets are organized in the orderly tree of strictly increasing index
-lists; with translation symmetry the first element is pinned to 0 (every
-affine orbit of solutions has such a representative).  With affine symmetry
-an internal node is pruned unless it is the lexicographic minimum of its
-orbit under automorphisms composed with translations that keep 0 in the
-set.  Deleting the largest element of an orbit-minimal set leaves an
-orbit-minimal set, so every orbit's minimal representative survives this
-pruning all the way down: completeness is a theorem about the canonical
-form, not a hope, and is additionally tested against no-symmetry brute
-force on small groups.  The minimality test walks a chain of point
-stabilizers of Aut(G) along the node's own prefix (see
+lists, a node's children being those with room left for a completion.  The
+frontier tasks and the walks below them share that one child rule, so node
+counts do not depend on frontier_depth.  With translation symmetry the
+first element is pinned to 0 (every affine orbit has such a
+representative).  With affine symmetry an internal node is pruned unless it
+is the lexicographic minimum of its orbit under automorphisms composed with
+translations that keep 0 in the set.  Deleting the largest element of an
+orbit-minimal set leaves an orbit-minimal set, so every orbit's minimal
+representative survives this pruning all the way down: completeness is a
+theorem about the canonical form, not a hope, and is additionally tested
+against no-symmetry brute force on small groups.  The minimality test walks
+a chain of point stabilizers of Aut(G) along the node's own prefix (see
 :class:`fdual.abelian.AffineReducer`) rather than scanning every
 automorphism, and one walk tests all children, or all grandchildren, of a
 node.  When |Aut(G)| is above the cap, the orbit is the translation orbit
@@ -41,9 +43,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,10 +68,6 @@ MODES = ("pair", "self_dual")
 SYMMETRIES = ("none", "translation", "affine")
 
 FLOAT_SCREEN_TOL = 1e-6
-
-# Test/ops knob: per-task delay in milliseconds, used to exercise the
-# kill-and-resume path deterministically.
-TASK_DELAY_ENV = "FDUAL_TASK_DELAY_MS"
 
 
 class CheckpointError(RuntimeError):
@@ -133,17 +131,10 @@ class SearchConfig:
         return self.spec.order // self.target_size
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "orders": list(self.spec.orders),
-                "target_size": self.target_size,
-                "mode": self.mode,
-                "symmetry": self.symmetry,
-                "frontier_depth": self.frontier_depth,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        """Hash of the fields that fix the task universe and its results."""
+        data = self.to_dict()
+        del data["checkpoint_path"], data["budget"]
+        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
@@ -157,25 +148,15 @@ class SearchConfig:
             "budget": self.budget,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchConfig":
-        return cls(
-            spec=GroupSpec(tuple(data["orders"])),
-            target_size=data["target_size"],
-            mode=data["mode"],
-            symmetry=data["symmetry"],
-            frontier_depth=data["frontier_depth"],
-            checkpoint_path=data.get("checkpoint_path"),
-            budget=data.get("budget"),
-        )
-
 
 @dataclass
 class SearchStats:
     """Node accounting.  Every visited node is either pruned by symmetry,
     pruned by the float screen, or expanded; exact-tested leaves are counted
     in leaves_tested.  Nodes with no room left for a completion are never
-    generated and appear in no counter."""
+    generated and appear in no counter.  The frontier and the tasks below it
+    follow one child rule, so the counts of a run without a budget do not
+    depend on frontier_depth."""
 
     nodes_visited: int = 0
     leaves_tested: int = 0
@@ -189,32 +170,20 @@ class SearchStats:
         return self.nodes_visited - self.pruned_by_symmetry - self.pruned_by_screen
 
     def merge_counts(self, other: "SearchStats") -> None:
-        self.nodes_visited += other.nodes_visited
-        self.leaves_tested += other.leaves_tested
-        self.pruned_by_symmetry += other.pruned_by_symmetry
-        self.pruned_by_screen += other.pruned_by_screen
-        self.hits += other.hits
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def to_dict(self) -> dict:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "leaves_tested": self.leaves_tested,
-            "pruned_by_symmetry": self.pruned_by_symmetry,
-            "pruned_by_screen": self.pruned_by_screen,
-            "hits": self.hits,
-            "elapsed": self.elapsed,
-        }
+        return {**{name: getattr(self, name) for name in _COUNTERS}, "elapsed": self.elapsed}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchStats":
-        return cls(
-            nodes_visited=int(data["nodes_visited"]),
-            leaves_tested=int(data["leaves_tested"]),
-            pruned_by_symmetry=int(data["pruned_by_symmetry"]),
-            pruned_by_screen=int(data["pruned_by_screen"]),
-            hits=int(data["hits"]),
-            elapsed=float(data.get("elapsed", 0.0)),
-        )
+        counts = {name: int(data[name]) for name in _COUNTERS}
+        return cls(**counts, elapsed=float(data.get("elapsed", 0.0)))
+
+
+# every field of SearchStats but elapsed, in declaration order
+_COUNTERS = tuple(f.name for f in fields(SearchStats) if f.name != "elapsed")
 
 
 @dataclass
@@ -339,19 +308,13 @@ def pair_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
 def _weight_matched_set(
     spec: GroupSpec, w: tuple[int, ...], t_size: int
 ) -> ElementSet | None:
-    """First primitive T containing 0 with weight enumerator w, in lex order.
+    """First primitive T containing 0 with weight enumerator w, in lex order;
+    w[0] == t_size is the caller's to check.
 
     Restricting to 0 in T loses nothing: nu and primitivity are translation
     invariant, so any valid partner translates to one through 0.
     """
     n = spec.order
-    if w[0] != t_size:
-        return None
-    if t_size == 1:
-        if any(w[d] for d in range(1, n)):
-            return None
-        t = ElementSet.from_indices([0])
-        return t if is_primitive(spec, t).primitive else None
     sub = _sub_table(spec)
     pool = [x for x in range(1, n) if w[x] > 0]
     counts = [0] * n
@@ -401,25 +364,8 @@ def _weight_matched_set(
 
 
 def _leaf_tester(config: SearchConfig, ctx: _SearchContext) -> Callable[[tuple[int, ...]], Certificate | None]:
-    if config.mode == "self_dual":
-        return lambda leaf: self_dual_leaf_test(ctx.spec, ElementSet.from_indices(leaf))
-    return lambda leaf: pair_leaf_test(ctx.spec, ElementSet.from_indices(leaf))
-
-
-def screen_partial(config: SearchConfig, node: Sequence[int]) -> bool:
-    """True when the node survives the orderly and symmetry rules.
-
-    Symmetry pruning keeps only orbit-minimal nodes; pruned branches are
-    covered by an equivalent surviving branch, never lost.
-    """
-    node = tuple(int(x) for x in node)
-    if not node or any(b <= a for a, b in zip(node, node[1:])):
-        return False
-    if config.symmetry in ("translation", "affine") and node[0] != 0:
-        return False
-    if config.symmetry == "affine" and len(node) > 1:
-        return _context(config.spec).reducer.is_canonical(node)
-    return True
+    test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
+    return lambda leaf: test(ctx.spec, ElementSet.from_indices(leaf))
 
 
 def _canonical_mask(
@@ -432,6 +378,17 @@ def _canonical_mask(
     return ctx.reducer.canonical_extensions(node, tails)
 
 
+def _children(
+    config: SearchConfig, ctx: _SearchContext, node: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tree rule: the children node + [x] that leave room for a
+    completion, x ascending, and which of them survive symmetry pruning.
+    Orbit-minimal nodes are kept; a pruned branch is covered by an
+    equivalent kept one, never lost."""
+    xs = np.arange(node[-1] + 1, ctx.n - config.target_size + len(node) + 1)
+    return xs, _canonical_mask(config, ctx, node, xs)
+
+
 def _enumerate_frontier(
     config: SearchConfig, ctx: _SearchContext, stats: SearchStats, budget: _Budget | None
 ) -> list[tuple[int, ...]]:
@@ -441,8 +398,7 @@ def _enumerate_frontier(
     task universe is a function of the config alone, which resume relies on.
     """
     out: list[tuple[int, ...]] = []
-    n = ctx.n
-    roots = range(n) if config.symmetry == "none" else range(1)
+    roots = range(ctx.n) if config.symmetry == "none" else range(1)
 
     def visit(node: list[int], canonical: bool) -> None:
         if budget is not None:
@@ -454,9 +410,9 @@ def _enumerate_frontier(
         if len(node) == config.frontier_depth:
             out.append(tuple(node))
             return
-        xs = range(node[-1] + 1, n)
-        for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs).tolist()):
-            visit(node + [x], ok)
+        xs, ok = _children(config, ctx, node)
+        for x, keep in zip(xs.tolist(), ok.tolist()):
+            visit(node + [x], keep)
 
     for r in roots:
         visit([r], True)
@@ -607,8 +563,7 @@ def _batch(
         stats.nodes_visited += int(allowed[0])
         leaves.add(node, char_partial, np.empty((1, 0), dtype=np.intp), np.array([first]), allowed)
         return finished
-    xs = np.arange(first, n - levels + 1)
-    ok = _canonical_mask(config, ctx, node, xs)
+    xs, ok = _children(config, ctx, node)
     if levels == 2:
         prefix, parents = xs[:, None], ok
     else:
@@ -647,16 +602,14 @@ def _descend(
     recurses into the canonical ones.  From depth size - 3 on, the levels
     left are one batch (``_batch``) with no per-element loop.
     """
-    size = config.target_size
-    depth = len(node)
-    if depth >= size - 3:
+    if len(node) >= config.target_size - 3:
         return _batch(config, ctx, node, char_partial, stats, budget, leaves)
-    xs = range(node[-1] + 1, ctx.n - size + depth + 1)
-    for x, ok in zip(xs, _canonical_mask(config, ctx, node, xs).tolist()):
+    xs, ok = _children(config, ctx, node)
+    for x, keep in zip(xs.tolist(), ok.tolist()):
         if budget is not None and budget.drain(1) == 0:
             return False
         stats.nodes_visited += 1
-        if not ok:
+        if not keep:
             stats.pruned_by_symmetry += 1
             continue
         node.append(x)
@@ -673,9 +626,6 @@ def _run_task(
     config: SearchConfig, task: tuple[int, ...], budget: _Budget | None
 ) -> tuple[SearchStats, list[Certificate], bool]:
     """Execute one frontier task; returns (stats, hits, finished)."""
-    delay_ms = os.environ.get(TASK_DELAY_ENV)
-    if delay_ms:
-        time.sleep(int(delay_ms) / 1000.0)
     ctx = _context(config.spec)
     stats = SearchStats()
     hits: list[Certificate] = []
@@ -686,15 +636,10 @@ def _run_task(
     return stats, hits, finished
 
 
-def _pool_worker(payload: tuple[dict, tuple[int, ...]]) -> dict:
-    config = SearchConfig.from_dict(payload[0])
-    stats, hits, finished = _run_task(config, tuple(payload[1]), None)
-    return {
-        "task": list(payload[1]),
-        "stats": stats.to_dict(),
-        "hits": [c.to_dict() for c in hits],
-        "finished": finished,
-    }
+def _pool_worker(
+    config: SearchConfig, task: tuple[int, ...]
+) -> tuple[SearchStats, list[Certificate], bool]:
+    return _run_task(config, task, None)
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +732,33 @@ def _merge_hits(
     return sorted(certs, key=lambda c: c.sort_key())
 
 
+def _task_results(
+    config: SearchConfig, pending: list[tuple[int, ...]], budget: _Budget | None, jobs: int
+) -> Iterator[tuple[tuple[int, ...], SearchStats, list[Certificate], bool]]:
+    """(task, stats, hits, finished) for each pending task.
+
+    With a budget or one job the tasks run here in order, until the budget
+    is spent, so the stop point is deterministic.  Otherwise they run in a
+    pool of ``jobs`` worker processes and arrive as workers finish them.
+    """
+    if budget is not None or jobs == 1:
+        for task in pending:
+            if budget is not None and budget.remaining <= 0:
+                return
+            yield (task, *_run_task(config, task, budget))
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = {pool.submit(_pool_worker, config, task): task for task in pending}
+        for fut in as_completed(futures):
+            yield (futures[fut], *fut.result())
+
+
 def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     """Run the configured search to completion, budget stop, or resume point.
 
     With a checkpoint path, completed tasks are persisted after each task
     and skipped on resume; the final hit list and per-task statistics are
-    identical to an uninterrupted run.  With ``jobs > 1`` frontier tasks run
-    in worker processes; a budgeted run executes sequentially so the stop
-    point is deterministic.
+    identical to an uninterrupted run.  Tasks run as ``_task_results`` says.
     """
     started = time.monotonic()
     if jobs < 1:
@@ -802,8 +766,9 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     ctx = _context(config.spec)
     budget = _Budget(config.budget) if config.budget is not None else None
 
-    enum_stats = SearchStats()
-    tasks = _enumerate_frontier(config, ctx, enum_stats, budget)
+    # the frontier enumeration, then a task cut short by the budget if any
+    unsaved = SearchStats()
+    tasks = _enumerate_frontier(config, ctx, unsaved, budget)
 
     caveats: list[str] = []
     if not ctx.auts.complete and config.symmetry == "affine":
@@ -821,9 +786,6 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
         completed_stats.merge_counts(record.stats)
         hit_dicts = list(record.hits)
 
-    pending = [t for t in tasks if t not in done]
-    partial_stats = SearchStats()
-
     def persist() -> None:
         if config.checkpoint_path:
             checkpoint_save(
@@ -840,50 +802,32 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     # the first task completes leaves a resumable checkpoint behind
     persist()
 
-    if budget is not None or jobs <= 1:
-        for task in pending:
-            if budget is not None and budget.remaining <= 0:
-                break
-            stats, certs, finished = _run_task(config, task, budget)
-            if finished:
-                completed_stats.merge_counts(stats)
-                hit_dicts.extend(c.to_dict() for c in certs)
-                done.add(task)
-                persist()
-            else:
+    pending = [t for t in tasks if t not in done]
+    try:
+        for task, stats, certs, finished in _task_results(config, pending, budget, jobs):
+            if not finished:
                 # partial work is reported but never persisted: resume must
                 # redo the task in full to match an uninterrupted run
-                partial_stats.merge_counts(stats)
+                unsaved.merge_counts(stats)
                 break
-    else:
-        payload = config.to_dict()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_pool_worker, (payload, task)) for task in pending]
-            for fut in as_completed(futures):
-                try:
-                    out = fut.result()
-                except BrokenProcessPool as exc:
-                    saved = (
-                        f"{len(done)} of {len(tasks)} tasks are saved in checkpoint "
-                        f"{config.checkpoint_path}; rerun with it to resume"
-                        if config.checkpoint_path
-                        else "no checkpoint was given, so no finished task is saved"
-                    )
-                    raise WorkerDied(f"a search worker process died: {saved}") from exc
-                completed_stats.merge_counts(SearchStats.from_dict(out["stats"]))
-                hit_dicts.extend(out["hits"])
-                done.add(tuple(out["task"]))
-                persist()
+            completed_stats.merge_counts(stats)
+            hit_dicts.extend(c.to_dict() for c in certs)
+            done.add(task)
+            persist()
+    except BrokenProcessPool as exc:
+        saved = (
+            f"{len(done)} of {len(tasks)} tasks are saved in checkpoint "
+            f"{config.checkpoint_path}; rerun with it to resume"
+            if config.checkpoint_path
+            else "no checkpoint was given, so no finished task is saved"
+        )
+        raise WorkerDied(f"a search worker process died: {saved}") from exc
 
-    complete = set(tasks) <= done
-
-    total = SearchStats()
-    total.merge_counts(enum_stats)
+    total = SearchStats(elapsed=time.monotonic() - started)
+    total.merge_counts(unsaved)
     total.merge_counts(completed_stats)
-    total.merge_counts(partial_stats)
-    total.elapsed = time.monotonic() - started
 
     certs = _merge_hits(config, ctx, (Certificate.from_dict(d) for d in hit_dicts))
     return SearchResult(
-        certificates=certs, stats=total, complete=complete, caveats=caveats
+        certificates=certs, stats=total, complete=set(tasks) <= done, caveats=caveats
     )

@@ -613,7 +613,7 @@ def reference_walk(config):
         if len(node) == config.frontier_depth:
             task_nodes.append(tuple(node))
             return
-        for x in range(node[-1] + 1, n):
+        for x in range(node[-1] + 1, n - size + len(node) + 1):
             enumerate_node(node + [x])
 
     for root in range(n) if config.symmetry == "none" else [0]:

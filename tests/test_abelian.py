@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 from functools import lru_cache
 
@@ -98,6 +99,14 @@ class TestElementSet:
         assert s.indices == (1, 3, 5)
         assert len(s) == 3
         assert 3 in s and 2 not in s
+
+    def test_pickle_roundtrip(self):
+        # immutable, yet picklable: sets travel to and from worker processes
+        s = ElementSet.from_indices([0, 3, 64])
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s and again.indices == (0, 3, 64) and len(again) == 3
+        with pytest.raises(AttributeError, match="immutable"):
+            again.mask = 0
 
     def test_translate_and_negate(self):
         s = ElementSet.from_indices([0, 1])

@@ -172,6 +172,19 @@ class TestStrictInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "pairing entries must be integers" in captured.err
 
+    @pytest.mark.parametrize("field,value", [
+        ("s_size", "2"), ("s_size", 2.7), ("s_primitive", "false"),
+        ("nu_t", [2.0, 1, 0, 1]), ("spectrum", [4.0, 2, 0, 2]),
+    ], ids=["size-string", "size-float", "flag-string", "nu-float", "spectrum-float"])
+    def test_loose_certificate_fields_are_exit_2(self, tmp_path, capsys, field, value):
+        # sizes and table entries must be JSON integers, flags JSON booleans
+        data = self._document(tmp_path, "certificate")
+        data[field] = value
+        capsys.readouterr()
+        assert main(["verify", _write(tmp_path, "bad.json", data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad certificate: ")
+
     def test_instance_messages_name_the_set(self, tmp_path, capsys):
         payload = {"group": {"orders": [4]}, "S": [[0], [1.5]]}
         assert main(["verify", _write(tmp_path, "float.json", payload)]) == 2

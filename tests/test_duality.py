@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -268,6 +269,14 @@ class TestCertificates:
         assert again.s == order64_set
         assert again.kind == "self_dual"
         assert again.s_primitive and again.t_primitive
+
+    def test_pickle_roundtrip(self, order64_spec, order64_pairing, order64_set):
+        s = ElementSet.from_indices([0, 1])
+        for cert in (make_certificate(order64_spec, order64_pairing, order64_set),
+                     make_certificate(Z4, standard_pairing(Z4), s, t=s)):
+            again = pickle.loads(pickle.dumps(cert))
+            assert again == cert
+            assert verify_certificate(again)[0]
 
     def test_pair_certificate_contains_t(self):
         s = ElementSet.from_indices([0, 1])

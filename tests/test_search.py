@@ -36,10 +36,10 @@ from fdual.search import (
     enumerate_tasks,
     pair_leaf_test,
     run_search,
-    screen_partial,
     self_dual_leaf_test,
     _load_checkpoint,
     _run_task,
+    _weight_matched_set,
 )
 
 from fdual import search
@@ -61,10 +61,10 @@ _POOL_WORKER = search._pool_worker
 _DOOMED_TASK = None  # set by a test; forked pool workers inherit it
 
 
-def _worker_dying_on_doomed_task(payload):
-    if tuple(payload[1]) == _DOOMED_TASK:
+def _worker_dying_on_doomed_task(config, task):
+    if task == _DOOMED_TASK:
         os._exit(1)
-    return _POOL_WORKER(payload)
+    return _POOL_WORKER(config, task)
 
 
 def _classes(spec, certs):
@@ -123,8 +123,9 @@ class TestTaskEnumeration:
         cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
         tasks = enumerate_tasks(cfg)
         assert tasks == sorted(tasks)
+        reducer = automorphism_group(Z2Z8).reducer
         for t in tasks:
-            assert screen_partial(cfg, t)
+            assert t[0] == 0 and reducer.is_canonical(t)
 
     def test_frontier_covers_every_affine_orbit(self):
         # the canonical representative of every orbit of size-s subsets
@@ -145,21 +146,12 @@ class TestTaskEnumeration:
 
 
 class TestScreenPartial:
+    """A partial node survives the affine screen iff it is its orbit minimum."""
+
     def test_affine_orbit_minimum(self):
-        cfg = SearchConfig(spec=Z4, target_size=2, mode="pair", symmetry="affine", frontier_depth=1)
-        assert not screen_partial(cfg, (0, 3))  # orbit minimum is {0,1}
-        assert screen_partial(cfg, (0, 1))
-
-    def test_orderly_rule(self):
-        cfg = SearchConfig(spec=Z4, target_size=2, mode="pair", symmetry="none", frontier_depth=1)
-        assert not screen_partial(cfg, (2, 1))
-        assert not screen_partial(cfg, (1, 1))
-        assert screen_partial(cfg, (1, 3))
-
-    def test_translation_needs_zero(self):
-        cfg = SearchConfig(spec=Z4, target_size=2, mode="pair", symmetry="translation", frontier_depth=1)
-        assert not screen_partial(cfg, (1, 2))
-        assert screen_partial(cfg, (0, 2))
+        reducer = automorphism_group(Z4).reducer
+        assert not reducer.is_canonical((0, 3))  # orbit minimum is {0,1}
+        assert reducer.is_canonical((0, 1))
 
 
 class TestLeafTests:
@@ -179,6 +171,13 @@ class TestLeafTests:
         # |1 + zeta_8|^2 = 2 + sqrt(2) is not an integer, so no partner profile exists
         assert as_integer(spectrum_entry(z8, standard_pairing(z8), s, 1)) is None
         assert pair_leaf_test(z8, s) is None
+
+    def test_partner_of_size_one(self):
+        # |T| = 1: the partner can only be {0}, which is never primitive
+        assert _weight_matched_set(Z4, (1, 0, 0, 0), 1) is None
+        assert _weight_matched_set(Z4, (1, 0, 1, 0), 1) is None
+        assert pair_leaf_test(Z4, ElementSet.from_indices(range(4))) is None
+        assert not is_primitive(Z4, ElementSet.from_indices([0])).primitive
 
     def test_self_dual_leaf_z4(self):
         cert = self_dual_leaf_test(Z4, ElementSet.from_indices([0, 1]))
@@ -453,6 +452,34 @@ class TestDeterminismAndParallelism:
         for cert in four.certificates:
             assert verify_certificate(cert)[0]
 
+    def test_pool_hits_equal_in_process_hits(self):
+        # certificates come back from the workers pickled, not as dicts
+        for mode in ("pair", "self_dual"):
+            cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode=mode, symmetry="affine")
+            one, pooled = run_search(cfg, jobs=1), run_search(cfg, jobs=2)
+            assert one.certificates
+            assert list(map(_without_timestamp, pooled.certificates)) == list(
+                map(_without_timestamp, one.certificates))
+
+    @pytest.mark.parametrize("orders,size,mode,symmetry", [
+        ((2, 8), 4, "pair", "affine"),
+        ((12,), 6, "pair", "translation"),
+        ((4, 4), 4, "self_dual", "affine"),
+    ])
+    def test_frontier_depth_does_not_change_results(self, orders, size, mode, symmetry):
+        # the frontier and the tasks follow one child rule, so where the tree
+        # is split into tasks changes neither the counts nor the hits
+        runs = []
+        for depth in range(1, size):
+            result = run_search(SearchConfig(spec=GroupSpec(orders), target_size=size, mode=mode,
+                                             symmetry=symmetry, frontier_depth=depth))
+            assert result.complete
+            stats = result.stats.to_dict()
+            stats.pop("elapsed")
+            runs.append((stats, list(map(_without_timestamp, result.certificates))))
+        assert all(run == runs[0] for run in runs), runs
+        assert runs[0][0]["leaves_tested"] > 0
+
 
 class TestSoundness:
     def test_every_emitted_certificate_reverifies(self):
@@ -704,11 +731,22 @@ class TestCheckpointing:
         clean = run_search(SearchConfig(**base))
         path = str(tmp_path / "ck.json")
         out = str(tmp_path / "out")
-        env = dict(os.environ, FDUAL_TASK_DELAY_MS="250", PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["search", "--group", "2,8", "--size", "4", "--mode", "pair", "--symmetry",
+                "affine", "--frontier-depth", "2", "--jobs", "1", "--checkpoint", path, "--out", out]
+        # every task sleeps 0.25 s first, so the run is killed between tasks
+        code = (
+            "import sys, time\n"
+            "from fdual import cli, search\n"
+            "run_task = search._run_task\n"
+            "def slow_task(*args):\n"
+            "    time.sleep(0.25)\n"
+            "    return run_task(*args)\n"
+            "search._run_task = slow_task\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "fdual.cli", "search", "--group", "2,8", "--size", "4",
-             "--mode", "pair", "--symmetry", "affine", "--frontier-depth", "2",
-             "--checkpoint", path, "--out", out],
+            [sys.executable, "-c", code],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
