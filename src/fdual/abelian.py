@@ -349,42 +349,14 @@ def standard_pairing(spec: GroupSpec) -> PairingMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """A group automorphism as a permutation table of element indices."""
-
-    table: tuple[int, ...]
-
-    def map_set(self, s: ElementSet) -> ElementSet:
-        return ElementSet.from_indices(self.table[i] for i in s)
-
-    def is_identity(self) -> bool:
-        return all(t == i for i, t in enumerate(self.table))
-
-    def validate(self, spec: GroupSpec) -> None:
-        """Exhaustively check bijectivity, pi(0)=0 and additivity; raises on failure."""
-        n = spec.order
-        if len(self.table) != n or sorted(self.table) != list(range(n)):
-            raise ValueError("table is not a permutation of the element indices")
-        if self.table[0] != 0:
-            raise ValueError("automorphism must fix 0")
-        table = np.array(self.table)
-        coords = spec.coords
-        for x in range(n):
-            image_of_sum = table[spec.index_of(coords[x] + coords[x:])]
-            sum_of_images = spec.index_of(coords[table[x]] + coords[table[x:]])
-            bad = np.flatnonzero(image_of_sum != sum_of_images)
-            if bad.size:
-                raise ValueError(f"not additive at ({x}, {x + int(bad[0])})")
-
-
 @dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
-    """Automorphisms of a group, tables stacked in a (A, N) int array.
+    """Automorphisms of a group as the rows of one (A, N) int16 index table:
+    an automorphism alpha is the row listing alpha(x) for x = 0..N-1.
 
-    ``complete`` is False when |Aut(G)| is above the cap; the tables then
-    hold the identity alone, which is all symmetry pruning needs for
-    soundness.
+    ``complete`` is False when |Aut(G)| is above ``DEFAULT_AUT_CAP``; the
+    table then holds the identity row alone, which is all symmetry pruning
+    needs for soundness.
     """
 
     spec: GroupSpec
@@ -393,13 +365,6 @@ class AutomorphismGroup:
 
     def __len__(self) -> int:
         return int(self.tables.shape[0])
-
-    def __getitem__(self, i: int) -> Automorphism:
-        return Automorphism(tuple(int(v) for v in self.tables[i]))
-
-    def __iter__(self) -> Iterator[Automorphism]:
-        for i in range(len(self)):
-            yield self[i]
 
     @cached_property
     def reducer(self) -> "AffineReducer":
@@ -526,22 +491,20 @@ def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndar
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(spec: GroupSpec, cap: int = DEFAULT_AUT_CAP) -> AutomorphismGroup:
-    """All of Aut(G) as index tables, rows in lexicographic order of the
-    generator images, when |Aut(G)| is at most ``cap``.
+def automorphism_group(spec: GroupSpec) -> AutomorphismGroup:
+    """All of Aut(G) as index table rows, in lexicographic order of the
+    generator images, when |Aut(G)| is at most ``DEFAULT_AUT_CAP``.
 
     The closed-form order decides the cap before anything is enumerated.
-    Above it the tables hold the identity alone, flagged incomplete.
+    Above it the table holds the identity row alone, flagged incomplete.
     Requires |G| <= 256.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     if spec.order > MAX_GROUP_ORDER:
         raise ValueError(
             f"automorphism enumeration supports |G| <= {MAX_GROUP_ORDER}, got {spec.order}"
         )
     count = aut_order(spec)
-    complete = count <= cap
+    complete = count <= DEFAULT_AUT_CAP
     if not complete:
         tables = np.arange(spec.order, dtype=np.int16)[None, :]
     else:
@@ -556,14 +519,15 @@ def automorphism_group(spec: GroupSpec, cap: int = DEFAULT_AUT_CAP) -> Automorph
     return AutomorphismGroup(spec=spec, tables=tables, complete=complete)
 
 
-def pairing_from_automorphism(base: PairingMatrix, alpha: Automorphism) -> PairingMatrix:
-    """The pairing B'(x, y) = B(alpha(x), y); nondegenerate when base is.
+def pairing_from_automorphism(base: PairingMatrix, table: np.ndarray) -> PairingMatrix:
+    """The pairing B'(x, y) = B(alpha(x), y), alpha given by its index table
+    row; nondegenerate when base is.
 
     Every isomorphism G -> G^ is standard_pairing composed with some
     automorphism, so ranging alpha over Aut(G) ranges B' over all pairings.
     """
     spec = base.spec
-    images = [alpha.table[g] for g in spec.generator_indices()]
+    images = table[list(spec.generator_indices())]
     rows = (spec.coords[images] @ base._matrix) % spec.exponent
     return PairingMatrix(spec, tuple(map(tuple, rows.tolist())))
 

@@ -45,13 +45,12 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .abelian import (
-    Automorphism,
     ElementSet,
     GroupSpec,
     _aut_tables,
@@ -249,8 +248,10 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     E(alpha(t)) == |S| * nu_S(t) for all t.  Every isomorphism G -> G^ is
     such a composition.  So once the two sides agree as multisets, the test
     enumerates the automorphisms with exactly that property, capped group
-    or not, pruning each prefix of generator images on its own domain, and
-    certifies the first one in lexicographic order of the images.
+    or not, pruning each prefix of generator images on its own domain.
+    Every table row it yields satisfies the identity on all of G, so the
+    first, in lexicographic order of the images, goes through one
+    ``certify`` call, which re-checks it.
     """
     if not is_primitive(spec, s).primitive:
         return None
@@ -262,13 +263,10 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     e_arr = np.array(spectrum, dtype=np.int64)
     if sorted(spectrum) != sorted(target.tolist()):
         return None
-    for tables in _aut_tables(spec, match=(e_arr, target)):
-        for table in tables:
-            pairing = pairing_from_automorphism(pairing0, Automorphism(tuple(table.tolist())))
-            cert = certify(spec, pairing, s)[1]
-            if cert is not None:
-                return cert
-    return None
+    tables = next(_aut_tables(spec, match=(e_arr, target)), None)
+    if tables is None:
+        return None
+    return certify(spec, pairing_from_automorphism(pairing0, tables[0]), s)[1]
 
 
 def pair_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
@@ -398,7 +396,7 @@ def _enumerate_frontier(
     task universe is a function of the config alone, which resume relies on.
     """
     out: list[tuple[int, ...]] = []
-    roots = range(ctx.n) if config.symmetry == "none" else range(1)
+    roots = range(ctx.n - config.target_size + 1) if config.symmetry == "none" else range(1)
 
     def visit(node: list[int], canonical: bool) -> None:
         if budget is not None:
@@ -652,7 +650,7 @@ class CheckpointRecord:
     config_hash: str
     completed: list[tuple[int, ...]]
     stats: SearchStats
-    hits: list[dict]
+    hits: list[Certificate]
     version: str = __version__
 
     def to_dict(self) -> dict:
@@ -661,7 +659,7 @@ class CheckpointRecord:
             "config_hash": self.config_hash,
             "completed": [list(t) for t in sorted(self.completed)],
             "stats": self.stats.to_dict(),
-            "hits": self.hits,
+            "hits": [c.to_dict() for c in self.hits],
         }
 
 
@@ -681,7 +679,7 @@ def _load_checkpoint(path: str) -> CheckpointRecord:
             config_hash=str(data["config_hash"]),
             completed=[tuple(int(x) for x in t) for t in data["completed"]],
             stats=SearchStats.from_dict(data["stats"]),
-            hits=list(data["hits"]),
+            hits=[Certificate.from_dict(d) for d in data["hits"]],
             version=str(data["version"]),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -714,22 +712,6 @@ def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-
-def _merge_hits(
-    config: SearchConfig, ctx: _SearchContext, certs: Iterable[Certificate]
-) -> list[Certificate]:
-    """Deterministic final hit list: canonical dedup under affine symmetry,
-    plain lexicographic sort otherwise."""
-    if config.symmetry == "affine":
-        best: dict[tuple[int, ...], Certificate] = {}
-        for cert in certs:
-            key = ctx.reducer.canonical_form(cert.s.indices)
-            cur = best.get(key)
-            if cur is None or cert.sort_key() < cur.sort_key():
-                best[key] = cert
-        return [best[k] for k in sorted(best)]
-    return sorted(certs, key=lambda c: c.sort_key())
 
 
 def _task_results(
@@ -766,6 +748,15 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     ctx = _context(config.spec)
     budget = _Budget(config.budget) if config.budget is not None else None
 
+    completed_stats = SearchStats()
+    hits: list[Certificate] = []
+    done: set[tuple[int, ...]] = set()
+    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
+        record = _resume_from(config.checkpoint_path, config)
+        done = set(record.completed)
+        completed_stats.merge_counts(record.stats)
+        hits = list(record.hits)
+
     # the frontier enumeration, then a task cut short by the budget if any
     unsaved = SearchStats()
     tasks = _enumerate_frontier(config, ctx, unsaved, budget)
@@ -777,15 +768,6 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
             "be reported separately"
         )
 
-    completed_stats = SearchStats()
-    hit_dicts: list[dict] = []
-    done: set[tuple[int, ...]] = set()
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        record = _resume_from(config.checkpoint_path, config)
-        done = set(record.completed)
-        completed_stats.merge_counts(record.stats)
-        hit_dicts = list(record.hits)
-
     def persist() -> None:
         if config.checkpoint_path:
             checkpoint_save(
@@ -794,7 +776,7 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
                     config_hash=config.config_hash(),
                     completed=sorted(done),
                     stats=completed_stats,
-                    hits=hit_dicts,
+                    hits=hits,
                 ),
             )
 
@@ -811,7 +793,7 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
                 unsaved.merge_counts(stats)
                 break
             completed_stats.merge_counts(stats)
-            hit_dicts.extend(c.to_dict() for c in certs)
+            hits.extend(certs)
             done.add(task)
             persist()
     except BrokenProcessPool as exc:
@@ -827,7 +809,11 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     total.merge_counts(unsaved)
     total.merge_counts(completed_stats)
 
-    certs = _merge_hits(config, ctx, (Certificate.from_dict(d) for d in hit_dicts))
+    # every affine hit passed is_canonical and tasks are disjoint, so no
+    # two hits share an orbit and sorting is all that is left
     return SearchResult(
-        certificates=certs, stats=total, complete=set(tasks) <= done, caveats=caveats
+        certificates=sorted(hits, key=Certificate.sort_key),
+        stats=total,
+        complete=set(tasks) <= done,
+        caveats=caveats,
     )

@@ -18,7 +18,8 @@ library computed every character in one kernel.  Aut(G) is enumerated here by
 a depth-first search over generator images on the oracle's own addition
 table; the library's enumerator, its self-dual leaf test and a Burnside
 count of affine orbits, which the orderly walk must match, are checked
-against it.
+against it.  Whether an index table row is an automorphism at all is
+decided here on the tuple arithmetic, pair by pair.
 """
 
 from __future__ import annotations
@@ -77,6 +78,27 @@ def oracle_add(spec, i, j):
 def oracle_neg(spec, i):
     """Index of -(element i)."""
     return _index_arithmetic(spec.orders)[1][i]
+
+
+def is_automorphism_table(spec, table):
+    """Whether an index table row is an automorphism: a permutation of the
+    element indices fixing 0 with alpha(x + y) == alpha(x) + alpha(y) for
+    every pair, checked exhaustively on the tuple arithmetic."""
+    add = _index_arithmetic(spec.orders)[0]
+    alpha = [int(v) for v in table]
+    n = len(add)
+    if sorted(alpha) != list(range(n)) or alpha[0] != 0:
+        return False
+    return all(
+        alpha[add[x][y]] == add[alpha[x]][alpha[y]] for x in range(n) for y in range(x, n)
+    )
+
+
+def map_set(table, s):
+    """The image alpha(S) of an ElementSet under an index table row."""
+    from fdual.abelian import ElementSet
+
+    return ElementSet.from_indices(int(table[i]) for i in s)
 
 
 def _bilinear(matrix, x, y, m):
@@ -478,7 +500,7 @@ def self_dual_gather_oracle(spec, s):
     row of the DFS tables: a certificate for the first alpha, in table
     order, that has E(alpha(t)) == |S| * nu_S(t) for all t and whose
     pairing passes ``check_self_dual``, or None."""
-    from fdual.abelian import Automorphism, pairing_from_automorphism, standard_pairing
+    from fdual.abelian import pairing_from_automorphism, standard_pairing
     from fdual.duality import check_self_dual, exact_spectrum, make_certificate, weight_enumerator
     from fdual.primitivity import is_primitive
 
@@ -492,7 +514,7 @@ def self_dual_gather_oracle(spec, s):
     tables = aut_tables_oracle(spec.orders).astype(np.int64)
     rows = np.array(spectrum, dtype=np.int64)[tables]
     for a in np.flatnonzero((rows == target).all(axis=1)):
-        pairing = pairing_from_automorphism(pairing0, Automorphism(tuple(tables[a].tolist())))
+        pairing = pairing_from_automorphism(pairing0, tables[a])
         if check_self_dual(spec, pairing, s).holds:
             return make_certificate(spec, pairing, s, kind="self_dual")
     return None
@@ -616,7 +638,7 @@ def reference_walk(config):
         for x in range(node[-1] + 1, n - size + len(node) + 1):
             enumerate_node(node + [x])
 
-    for root in range(n) if config.symmetry == "none" else [0]:
+    for root in range(n - size + 1) if config.symmetry == "none" else [0]:
         enumerate_node([root])
 
     def descend(node, partial, outcomes):

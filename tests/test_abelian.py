@@ -12,7 +12,7 @@ from fdual import abelian
 from fdual.abelian import (
     DEFAULT_AUT_CAP,
     AffineReducer,
-    Automorphism,
+    AutomorphismGroup,
     ElementSet,
     GroupSpec,
     PairingMatrix,
@@ -32,6 +32,8 @@ from oracles import (
     abelian_group_orders,
     aut_tables_oracle,
     chain_is_canonical,
+    is_automorphism_table,
+    map_set,
     oracle_add,
     oracle_neg,
     scan_canonical_form,
@@ -210,13 +212,13 @@ class TestAutomorphisms:
         assert group.complete
 
     def test_z4_tables(self):
-        tables = sorted(a.table for a in automorphism_group(Z4))
+        tables = sorted(map(tuple, automorphism_group(Z4).tables.tolist()))
         assert tables == [(0, 1, 2, 3), (0, 3, 2, 1)]
 
     def test_identity_always_included(self):
         for spec in SPEC_POOL[:10]:
             group = automorphism_group(spec)
-            assert any(a.is_identity() for a in group)
+            assert (group.tables == np.arange(spec.order)).all(axis=1).any()
 
     def test_tables_are_homomorphisms(self):
         # exhaustive pair check on full groups of modest order, sampled rows
@@ -230,7 +232,17 @@ class TestAutomorphisms:
                 range(len(group)), 40
             )
             for i in picks:
-                group[i].validate(spec)
+                assert is_automorphism_table(spec, group.tables[i]), (spec.orders, i)
+
+    def test_oracle_rejects_non_automorphisms(self):
+        spec = Z2Z4
+        identity = list(range(spec.order))
+        assert is_automorphism_table(spec, identity)
+        swapped = identity[:]
+        swapped[1], swapped[2] = 2, 1  # a bijection fixing 0, not additive
+        assert not is_automorphism_table(spec, swapped)
+        assert not is_automorphism_table(spec, [1, 0, *identity[2:]])  # moves 0
+        assert not is_automorphism_table(spec, [0, 0, *identity[2:]])  # not a bijection
 
     def test_every_table_is_additive_vectorized(self):
         # pi(x + g) == pi(x) + pi(g) for every returned table, every x and
@@ -266,16 +278,6 @@ class TestAutomorphisms:
         group = automorphism_group(GroupSpec(orders))
         assert len(group) == count
         assert group.complete
-
-    def test_cap_truncates_and_flags(self):
-        group = automorphism_group(GroupSpec((2, 2)), cap=2)
-        assert len(group) <= 2
-        assert not group.complete
-        assert any(a.is_identity() for a in group)
-
-    def test_cap_rejected(self):
-        with pytest.raises(ValueError):
-            automorphism_group(Z4, cap=0)
 
     def test_order_limit(self):
         with pytest.raises(ValueError):
@@ -334,11 +336,9 @@ class TestAutEnumerator:
     def test_cap_decided_by_closed_form(self):
         assert aut_order(GroupSpec((2,) * 5)) > DEFAULT_AUT_CAP >= aut_order(GroupSpec((2,) * 4))
         capped = automorphism_group(GroupSpec((2,) * 5))
-        assert not capped.complete and len(capped) == 1 and capped[0].is_identity()
-        assert automorphism_group(GroupSpec((2,) * 4)).complete
-        assert len(automorphism_group(Z2Z4, cap=8)) == 8
-        capped = automorphism_group(Z2Z4, cap=7)
         assert not capped.complete and len(capped) == 1
+        assert (capped.tables == np.arange(32)).all()
+        assert automorphism_group(GroupSpec((2,) * 4)).complete
 
     def test_capped_group_enumerates_in_bounded_blocks(self):
         # all of Aut(Z2^4 x Z4), 40x the cap, streamed as table blocks: the
@@ -375,9 +375,8 @@ class TestPairingFromAutomorphism:
         # x -> sum_slot x_slot * image_slot, one coordinate row per element
         images = order64_spec.coords[swap_images]
         table = order64_spec.index_of(order64_spec.coords @ images)
-        alpha = Automorphism(tuple(table.tolist()))
-        alpha.validate(order64_spec)
-        assert pairing_from_automorphism(base, alpha).entries == order64_pairing.entries
+        assert is_automorphism_table(order64_spec, table)
+        assert pairing_from_automorphism(base, table).entries == order64_pairing.entries
 
     def test_composed_pairings_nondegenerate(self):
         rng = random.Random(29)
@@ -385,7 +384,7 @@ class TestPairingFromAutomorphism:
             base = standard_pairing(spec)
             group = automorphism_group(spec)
             for _ in range(5):
-                alpha = group[rng.randrange(len(group))]
+                alpha = group.tables[rng.randrange(len(group))]
                 assert pairing_from_automorphism(base, alpha).is_nondegenerate
 
 
@@ -413,8 +412,8 @@ class TestCanonicalForm:
                 size = rng.randint(1, min(5, spec.order))
                 s = ElementSet.from_indices(rng.sample(range(spec.order), size))
                 canon = affine_canonical_form(spec, s, auts)
-                alpha = auts[rng.randrange(len(auts))]
-                image = alpha.map_set(s)
+                alpha = auts.tables[rng.randrange(len(auts))]
+                image = map_set(alpha, s)
                 v = rng.choice(image.indices)
                 moved = translate(spec, image, oracle_neg(spec, v))
                 assert 0 in moved
@@ -517,10 +516,8 @@ class TestStabilizerChain:
 
     def test_capped_list_reduces_under_translations_only(self):
         spec = GroupSpec((2, 4))
-        capped = automorphism_group(spec, cap=2)
-        assert not capped.complete
-        reducer = AffineReducer(spec, capped)
         translations = np.arange(spec.order, dtype=np.int16)[None, :]
+        reducer = AffineReducer(spec, AutomorphismGroup(spec, translations, complete=False))
         rng = random.Random(43)
         for size in range(1, 6):
             for _ in range(10):
@@ -607,10 +604,8 @@ class TestExtensionWalk:
 
     def test_capped_group_walks_the_identity_chain(self):
         spec = GroupSpec((2, 8))
-        capped = automorphism_group(spec, cap=2)
-        assert not capped.complete
-        reducer = AffineReducer(spec, capped)
         translations = np.arange(spec.order, dtype=np.int16)[None, :]
+        reducer = AffineReducer(spec, AutomorphismGroup(spec, translations, complete=False))
         for size in range(1, 5):
             for rest in itertools.combinations(range(1, spec.order - 2), size - 1):
                 node = (0, *rest)

@@ -46,7 +46,7 @@ def _random_set(rng, spec, size):
 
 def _random_pairing(rng, spec):
     group = automorphism_group(spec)
-    return pairing_from_automorphism(standard_pairing(spec), group[rng.randrange(len(group))])
+    return pairing_from_automorphism(standard_pairing(spec), group.tables[rng.randrange(len(group))])
 
 
 class TestWeightEnumerator:

@@ -73,7 +73,7 @@ def test_exponents_match_bilinear_form():
         group = automorphism_group(spec)
         everything = range(spec.order)
         for a in rng.sample(range(len(group)), min(2, len(group))):
-            pairing = pairing_from_automorphism(standard_pairing(spec), group[a])
+            pairing = pairing_from_automorphism(standard_pairing(spec), group.tables[a])
             table = pairing.exponents(everything, everything)
             assert table.tolist() == exponent_table_oracle(pairing), (orders, a)
             xs = rng.sample(everything, min(3, spec.order))

@@ -10,6 +10,7 @@ from fdual.primitivity import is_in_proper_coset, is_primitive, is_union_of_cose
 from oracles import (
     abelian_group_orders,
     in_proper_coset_oracle,
+    map_set,
     oracle_add,
     oracle_neg,
     union_of_cosets_oracle,
@@ -84,9 +85,9 @@ class TestInvariances:
                 size = rng.randint(1, min(6, spec.order))
                 s = ElementSet.from_indices(rng.sample(range(spec.order), size))
                 base = is_primitive(spec, s).primitive
-                alpha = auts[rng.randrange(len(auts))]
+                alpha = auts.tables[rng.randrange(len(auts))]
                 v = rng.randrange(spec.order)
-                image = translate(spec, alpha.map_set(s), v)
+                image = translate(spec, map_set(alpha, s), v)
                 assert is_primitive(spec, image).primitive == base
 
 

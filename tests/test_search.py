@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -116,8 +118,21 @@ class TestTaskEnumeration:
         assert enumerate_tasks(cfg) == [(0,)]
 
     def test_no_symmetry_keeps_every_first_element(self):
+        # every first element with room left for a completion: (3,) has none
         cfg = SearchConfig(spec=Z22, target_size=2, mode="pair", symmetry="none", frontier_depth=1)
-        assert enumerate_tasks(cfg) == [(0,), (1,), (2,), (3,)]
+        assert enumerate_tasks(cfg) == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("orders,size", [((8,), 4), ((2, 2), 2), ((12,), 6)])
+    def test_no_symmetry_visits_every_node_with_room(self, orders, size):
+        # the d-element nodes with room for a completion are the d-subsets
+        # of 0 .. n - size + d - 1, at every frontier depth
+        n = math.prod(orders)
+        expected = sum(math.comb(n - size + d, d) for d in range(1, size + 1))
+        for depth in range(1, size):
+            result = run_search(SearchConfig(spec=GroupSpec(orders), target_size=size, mode="pair",
+                                             symmetry="none", frontier_depth=depth))
+            assert result.complete
+            assert result.stats.nodes_visited == expected, (orders, size, depth)
 
     def test_affine_prunes_frontier(self):
         cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
@@ -488,7 +503,13 @@ class TestSoundness:
             cfg = SearchConfig(spec=spec, target_size=size, mode=mode,
                                symmetry="affine", frontier_depth=min(2, size - 1))
             result = run_search(cfg)
+            reducer = automorphism_group(spec).reducer
+            assert result.certificates
+            assert [c.sort_key() for c in result.certificates] == sorted(
+                c.sort_key() for c in result.certificates)
             for cert in result.certificates:
+                # one hit per orbit: each is its own canonical form
+                assert cert.s.indices == reducer.canonical_form(cert.s.indices)
                 ok, problems = verify_certificate(cert)
                 assert ok, problems
                 assert cert.s_primitive and cert.t_primitive
@@ -700,6 +721,43 @@ class TestCheckpointing:
                               frontier_depth=2, checkpoint_path=path)
         with pytest.raises(CheckpointError, match="0.0.0-other"):
             run_search(cfg_ck)
+
+    def test_malformed_hit_refused_before_any_task(self, tmp_path, monkeypatch, capsys):
+        # a checkpoint hit that is no certificate stops the run at load time,
+        # naming the checkpoint, and leaves the file as it was
+        cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
+        path = tmp_path / "ck.json"
+        checkpoint_save(str(path), CheckpointRecord(
+            config_hash=cfg.config_hash(), completed=[], stats=SearchStats(), hits=[]))
+        data = json.loads(path.read_text())
+        data["hits"] = [{"kind": "pair", "bogus": 1}]
+        path.write_text(json.dumps(data))
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="missing field 'group'"):
+            _load_checkpoint(str(path))
+
+        def no_task(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(search, "_run_task", no_task)
+        with pytest.raises(CheckpointError, match=re.escape(f"cannot read checkpoint {path}")):
+            run_search(SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine",
+                                    frontier_depth=2, checkpoint_path=str(path)))
+        argv = ["search", "--group", "2,8", "--size", "4", "--mode", "pair", "--symmetry", "affine",
+                "--frontier-depth", "2", "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot read checkpoint {path}: certificate is missing field 'group'"]
+        assert path.read_bytes() == before
+
+    def test_checkpoint_hits_round_trip(self, tmp_path):
+        cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode="pair", symmetry="affine")
+        certs = run_search(cfg).certificates
+        assert certs
+        path = str(tmp_path / "ck.json")
+        checkpoint_save(path, CheckpointRecord(
+            config_hash=cfg.config_hash(), completed=[], stats=SearchStats(), hits=certs))
+        assert [c.to_dict() for c in _load_checkpoint(path).hits] == [c.to_dict() for c in certs]
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -42,7 +42,7 @@ def _kernel_rows(spec, pairing, s):
 
 def _random_pairing(rng, spec):
     group = automorphism_group(spec)
-    return pairing_from_automorphism(standard_pairing(spec), group[rng.randrange(len(group))])
+    return pairing_from_automorphism(standard_pairing(spec), group.tables[rng.randrange(len(group))])
 
 
 def _support_width(spec, s):
