@@ -176,7 +176,6 @@ class ElementSet:
         raises ValueError naming ``label``; repeated vectors collapse."""
         if not isinstance(coords_seq, (list, tuple)) or not coords_seq:
             raise ValueError(f"{label} must be a non-empty list of coordinate vectors")
-        indices = []
         for item in coords_seq:
             if not isinstance(item, (list, tuple)) or len(item) != spec.rank:
                 raise ValueError(
@@ -189,8 +188,7 @@ class ElementSet:
                     f"{label} entry {item!r} has coordinates outside the factor orders "
                     f"{list(spec.orders)}"
                 )
-            indices.append(spec.index_of(item))
-        return cls.from_indices(indices)
+        return cls.from_indices(spec.index_of(np.array(coords_seq, dtype=np.int64)).tolist())
 
     @property
     def indices(self) -> tuple[int, ...]:

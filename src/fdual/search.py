@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -640,6 +640,18 @@ def _pool_worker(
     return _run_task(config, task, None)
 
 
+# (task, stats, hits, finished) for each task of a chunk, in order
+_Batch = list[tuple[tuple[int, ...], SearchStats, list[Certificate], bool]]
+
+
+def _pool_chunk(config: SearchConfig, tasks: list[tuple[int, ...]]) -> tuple[_Batch, float]:
+    """Run consecutive tasks in one pool worker: (task, stats, hits,
+    finished) for each, and the seconds they took together."""
+    started = time.perf_counter()
+    results = [(task, *_pool_worker(config, task)) for task in tasks]
+    return results, time.perf_counter() - started
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -664,10 +676,10 @@ class CheckpointRecord:
 
 
 def checkpoint_save(path: str, record: CheckpointRecord) -> None:
+    """Write the record as one line of compact JSON, atomically."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
     os.replace(tmp, path)
 
 
@@ -686,26 +698,37 @@ def _load_checkpoint(path: str) -> CheckpointRecord:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _resume_from(path: str, config: SearchConfig) -> CheckpointRecord:
-    """The checkpoint at path, refused unless this version wrote it for config."""
+def _resume_from(path: str, config: SearchConfig, config_hash: str) -> CheckpointRecord:
+    """The checkpoint at path, refused unless this version wrote it for
+    config (whose hash is config_hash) and every hit belongs to config's
+    group, mode and set size."""
     record = _load_checkpoint(path)
     if record.version != __version__:
         raise CheckpointError(
             f"checkpoint was written by fdual {record.version}, this is "
             f"{__version__}; refusing to resume"
         )
-    if record.config_hash != config.config_hash():
+    if record.config_hash != config_hash:
         raise CheckpointError(
             "checkpoint was written by a different search configuration "
-            f"(hash {record.config_hash[:12]}... != {config.config_hash()[:12]}...); "
+            f"(hash {record.config_hash[:12]}... != {config_hash[:12]}...); "
             "refusing to resume"
         )
+    wanted = (config.spec.orders, config.mode, config.target_size)
+    for cert in record.hits:
+        found = (cert.spec.orders, cert.kind, len(cert.s))
+        if found != wanted:
+            raise CheckpointError(
+                f"checkpoint {path} holds a hit from another search (group orders "
+                f"{list(found[0])}, mode {found[1]}, |S| = {found[2]}; this search has "
+                f"{list(wanted[0])}, {wanted[1]}, {wanted[2]}); refusing to resume"
+            )
     return record
 
 
 def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
-    """Remaining tasks after a checkpoint; refuses on a version or config-hash mismatch."""
-    done = set(_resume_from(path, config).completed)
+    """Remaining tasks after a checkpoint; refuses it as ``_resume_from`` does."""
+    done = set(_resume_from(path, config, config.config_hash()).completed)
     return [t for t in enumerate_tasks(config) if t not in done]
 
 
@@ -714,45 +737,75 @@ def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+# seconds of work per pool chunk once task times are known: about what a
+# killed run loses per worker
+_CHUNK_SECONDS = 0.05
+
+
+def _chunk_size(queued: int, slots: int, ran: int, busy: float) -> int:
+    """Tasks in the next pool chunk: one until a task time is known, then
+    about _CHUNK_SECONDS of work at the mean time of the ``ran`` tasks run
+    in ``busy`` seconds, at least one and at most 1/slots of the ``queued``
+    tasks, so that the workers run out of work together."""
+    if not ran:
+        return 1
+    fit = int(_CHUNK_SECONDS * ran / busy) if busy > 0 else queued
+    return max(1, min(fit, queued // slots))
+
+
 def _task_results(
     config: SearchConfig, pending: list[tuple[int, ...]], budget: _Budget | None, jobs: int
-) -> Iterator[tuple[tuple[int, ...], SearchStats, list[Certificate], bool]]:
-    """(task, stats, hits, finished) for each pending task.
+) -> Iterator[_Batch]:
+    """Batches of (task, stats, hits, finished), one entry per pending task.
 
-    With a budget or one job the tasks run here in order, until the budget
-    is spent, so the stop point is deterministic.  Otherwise they run in a
-    pool of ``jobs`` worker processes and arrive as workers finish them.
+    With a budget or one job the tasks run here in order, one per batch,
+    until the budget is spent, so the stop point is deterministic.
+    Otherwise a pool of ``jobs`` worker processes runs chunks of
+    consecutive tasks (``_chunk_size``), 2 * jobs of them in flight, and
+    each chunk is a batch as soon as its worker finishes it.
     """
     if budget is not None or jobs == 1:
         for task in pending:
             if budget is not None and budget.remaining <= 0:
                 return
-            yield (task, *_run_task(config, task, budget))
+            yield [(task, *_run_task(config, task, budget))]
         return
+    slots, start, ran, busy = 2 * jobs, 0, 0, 0.0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_pool_worker, config, task): task for task in pending}
-        for fut in as_completed(futures):
-            yield (futures[fut], *fut.result())
+        running: set = set()
+        while start < len(pending) or running:
+            while start < len(pending) and len(running) < slots:
+                stop = start + _chunk_size(len(pending) - start, slots, ran, busy)
+                running.add(pool.submit(_pool_chunk, config, pending[start:stop]))
+                start = stop
+            finished, running = wait(running, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                batch, seconds = fut.result()
+                ran, busy = ran + len(batch), busy + seconds
+                yield batch
 
 
 def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     """Run the configured search to completion, budget stop, or resume point.
 
-    With a checkpoint path, completed tasks are persisted after each task
-    and skipped on resume; the final hit list and per-task statistics are
-    identical to an uninterrupted run.  Tasks run as ``_task_results`` says.
+    With a checkpoint path, completed tasks are persisted after each batch
+    of tasks that ``_task_results`` delivers (one task in process, one chunk
+    from the pool) and skipped on resume; the final hit list and per-task
+    statistics are identical to an uninterrupted run.
     """
     started = time.monotonic()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ctx = _context(config.spec)
     budget = _Budget(config.budget) if config.budget is not None else None
+    config_hash = config.config_hash()
 
     completed_stats = SearchStats()
     hits: list[Certificate] = []
     done: set[tuple[int, ...]] = set()
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        record = _resume_from(config.checkpoint_path, config)
+    resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
+    if resumed:
+        record = _resume_from(config.checkpoint_path, config, config_hash)
         done = set(record.completed)
         completed_stats.merge_counts(record.stats)
         hits = list(record.hits)
@@ -773,7 +826,7 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
             checkpoint_save(
                 config.checkpoint_path,
                 CheckpointRecord(
-                    config_hash=config.config_hash(),
+                    config_hash=config_hash,
                     completed=sorted(done),
                     stats=completed_stats,
                     hits=hits,
@@ -781,21 +834,25 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
             )
 
     # write the (possibly empty) state up front so even a run stopped before
-    # the first task completes leaves a resumable checkpoint behind
-    persist()
+    # the first task completes leaves a resumable checkpoint behind; a
+    # checkpoint just resumed from already holds it
+    if not resumed:
+        persist()
 
     pending = [t for t in tasks if t not in done]
     try:
-        for task, stats, certs, finished in _task_results(config, pending, budget, jobs):
-            if not finished:
-                # partial work is reported but never persisted: resume must
-                # redo the task in full to match an uninterrupted run
-                unsaved.merge_counts(stats)
-                break
-            completed_stats.merge_counts(stats)
-            hits.extend(certs)
-            done.add(task)
-            persist()
+        for batch in _task_results(config, pending, budget, jobs):
+            for task, stats, certs, finished in batch:
+                if not finished:
+                    # partial work is reported but never persisted: resume must
+                    # redo the task in full to match an uninterrupted run
+                    unsaved.merge_counts(stats)
+                    continue
+                completed_stats.merge_counts(stats)
+                hits.extend(certs)
+                done.add(task)
+            if finished:  # else the batch was the one task the budget cut short
+                persist()
     except BrokenProcessPool as exc:
         saved = (
             f"{len(done)} of {len(tasks)} tasks are saved in checkpoint "

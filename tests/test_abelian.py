@@ -110,6 +110,31 @@ class TestElementSet:
         with pytest.raises(AttributeError, match="immutable"):
             again.mask = 0
 
+    @pytest.mark.parametrize("orders", [(4,), (2, 8), (2, 2, 4)])
+    def test_from_coords_encodes_every_entry(self, orders):
+        spec = GroupSpec(orders)
+        elements = list(spec.elements())
+        assert ElementSet.from_coords(spec, elements).indices == tuple(range(spec.order))
+        picked = [list(elements[i]) for i in (3, 0, 2, 3)]  # a repeat collapses
+        assert ElementSet.from_coords(spec, picked).indices == (0, 2, 3)
+        as_numpy = [tuple(np.int64(c) for c in elements[-1])]
+        assert ElementSet.from_coords(spec, as_numpy).indices == (spec.order - 1,)
+
+    @pytest.mark.parametrize("coords,message", [
+        ([], "S must be a non-empty list of coordinate vectors"),
+        ("01", "S must be a non-empty list of coordinate vectors"),
+        ([[0, 1], [1]], "S entries must be length-2 coordinate lists, got [1]"),
+        ([[0, 1], 3], "S entries must be length-2 coordinate lists, got 3"),
+        ([[0, 1.0]], "S coordinates must be integers, got [0, 1.0]"),
+        ([[0, True]], "S coordinates must be integers, got [0, True]"),
+        ([[0, 1], [2, 0]], "S entry [2, 0] has coordinates outside the factor orders [2, 8]"),
+        ([[0, -1]], "S entry [0, -1] has coordinates outside the factor orders [2, 8]"),
+    ])
+    def test_from_coords_messages(self, coords, message):
+        with pytest.raises(ValueError) as info:
+            ElementSet.from_coords(GroupSpec((2, 8)), coords, "S")
+        assert str(info.value) == message
+
     def test_translate_and_negate(self):
         s = ElementSet.from_indices([0, 1])
         assert translate(Z4, s, 2).indices == (2, 3)

@@ -496,6 +496,90 @@ class TestDeterminismAndParallelism:
         assert runs[0][0]["leaves_tested"] > 0
 
 
+# searches of at least 50 tasks of a few milliseconds each, which the pool
+# sends in chunks of many tasks
+MANY_TASKS = {
+    "Z49": dict(spec=GroupSpec((49,)), target_size=7, mode="self_dual", symmetry="affine",
+                frontier_depth=4),
+    "Z7xZ7": dict(spec=GroupSpec((7, 7)), target_size=7, mode="self_dual", symmetry="affine",
+                  frontier_depth=6),
+}
+
+
+def _counts(stats):
+    counts = stats.to_dict()
+    counts.pop("elapsed")
+    return counts
+
+
+def _queue_bound_chunks(n, jobs):
+    """The pool's chunks of n tasks, as (start, stop), when task times never
+    bind: 2 * jobs single tasks, then 1/(2 * jobs) of the queue, at least 1."""
+    slots, chunks, start = 2 * jobs, [], 0
+    while start < n:
+        size = 1 if len(chunks) < slots else max(1, (n - start) // slots)
+        chunks.append((start, start + size))
+        start += size
+    return chunks
+
+
+class TestPoolChunks:
+    def test_chunk_size_rule(self):
+        assert search._chunk_size(100, 4, 0, 0.0) == 1  # no task time yet
+        assert search._chunk_size(100, 4, 10, 0.1) == 5  # 50 ms at 10 ms a task
+        assert search._chunk_size(100, 4, 100, 0.01) == 25  # a quarter of the queue
+        assert search._chunk_size(100, 4, 1, 10.0) == 1  # a long task goes alone
+        assert search._chunk_size(3, 4, 100, 0.01) == 1
+
+    def test_chunks_are_consecutive_runs_of_the_queue(self, monkeypatch):
+        monkeypatch.setattr(search, "_CHUNK_SECONDS", 1e9)
+        cfg = SearchConfig(**MANY_TASKS["Z49"])
+        tasks = enumerate_tasks(cfg)
+        batches = [[row[0] for row in batch] for batch in search._task_results(cfg, tasks, None, 2)]
+        got = sorted((tasks.index(b[0]), tasks.index(b[0]) + len(b)) for b in batches)
+        assert got == _queue_bound_chunks(len(tasks), 2)
+        assert sorted(t for b in batches for t in b) == tasks
+        assert all(b == tasks[tasks.index(b[0]):tasks.index(b[0]) + len(b)] for b in batches)
+
+    @pytest.mark.parametrize("name", sorted(MANY_TASKS))
+    def test_chunked_pool_equals_in_process(self, name):
+        cfg = SearchConfig(**MANY_TASKS[name])
+        assert len(enumerate_tasks(cfg)) >= 50
+        one, two = run_search(cfg, jobs=1), run_search(cfg, jobs=2)
+        assert one.complete and two.complete
+        assert list(map(_without_timestamp, two.certificates)) == list(
+            map(_without_timestamp, one.certificates))
+        assert _counts(two.stats) == _counts(one.stats)
+
+    @pytest.mark.parametrize("name", sorted(MANY_TASKS))
+    def test_one_checkpoint_write_per_chunk(self, name, tmp_path, monkeypatch):
+        base = MANY_TASKS[name]
+        clean = run_search(SearchConfig(**base))
+        tasks = enumerate_tasks(SearchConfig(**base))
+        written = []
+
+        def counting_save(path, record):
+            written.append(len(record.completed))
+            checkpoint_save(path, record)
+
+        monkeypatch.setattr(search, "checkpoint_save", counting_save)
+        path = str(tmp_path / "ck.json")
+        result = run_search(SearchConfig(**base, checkpoint_path=path), jobs=2)
+        assert result.complete
+        assert len(written) < len(tasks)
+        assert written == sorted(written) and written[-1] == len(tasks)
+        record = _load_checkpoint(path)
+        assert record.completed == tasks
+        assert sorted(map(_without_timestamp, record.hits)) == sorted(
+            map(_without_timestamp, clean.certificates))
+        # the finished checkpoint resumes to the clean result with no task run
+        monkeypatch.setattr(search, "_run_task", None)
+        for run in (result, run_search(SearchConfig(**base, checkpoint_path=path))):
+            assert run.complete and _counts(run.stats) == _counts(clean.stats)
+            assert list(map(_without_timestamp, run.certificates)) == list(
+                map(_without_timestamp, clean.certificates))
+
+
 class TestSoundness:
     def test_every_emitted_certificate_reverifies(self):
         for orders, size, mode in [((4,), 2, "pair"), ((4, 4), 4, "pair"), ((4,), 2, "self_dual"), ((4, 4), 4, "self_dual")]:
@@ -751,13 +835,61 @@ class TestCheckpointing:
         assert path.read_bytes() == before
 
     def test_checkpoint_hits_round_trip(self, tmp_path):
+        # one line of compact JSON that reads back to the same record
         cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode="pair", symmetry="affine")
         certs = run_search(cfg).certificates
         assert certs
+        path = tmp_path / "ck.json"
+        record = CheckpointRecord(config_hash=cfg.config_hash(), completed=enumerate_tasks(cfg),
+                                  stats=SearchStats(nodes_visited=7, hits=len(certs)), hits=certs)
+        checkpoint_save(str(path), record)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == record.to_dict()
+        again = _load_checkpoint(str(path))
+        assert again == record
+        assert [c.to_dict() for c in again.hits] == [c.to_dict() for c in certs]
+        assert checkpoint_resume(str(path), cfg) == []
+
+    @pytest.mark.parametrize("orders,size,mode,hit_from", [
+        ((2, 8), 4, "pair", ((4,), 2, "pair")),  # another group
+        ((4, 4), 4, "self_dual", ((4, 4), 4, "pair")),  # another mode
+        ((4, 4), 8, "pair", ((4, 4), 4, "pair")),  # another |S|
+    ])
+    def test_hit_from_another_search_refused(self, tmp_path, monkeypatch, orders, size, mode, hit_from):
+        # a valid certificate of another search under this search's config
+        # hash is refused at load time, before any task, and the file stays
+        spec, hit_size, hit_mode = GroupSpec(hit_from[0]), hit_from[1], hit_from[2]
+        cert = run_search(SearchConfig(spec=spec, target_size=hit_size, mode=hit_mode)).certificates[0]
+        cfg = SearchConfig(spec=GroupSpec(orders), target_size=size, mode=mode)
+        path = tmp_path / "ck.json"
+        checkpoint_save(str(path), CheckpointRecord(
+            config_hash=cfg.config_hash(), completed=enumerate_tasks(cfg), stats=SearchStats(),
+            hits=[cert]))
+        before = path.read_bytes()
+        monkeypatch.setattr(search, "_run_task", None)
+        message = re.escape(
+            f"checkpoint {path} holds a hit from another search (group orders {list(hit_from[0])}, "
+            f"mode {hit_mode}, |S| = {hit_size}; this search has {list(orders)}, {mode}, {size})")
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint_resume(str(path), cfg)
+        with pytest.raises(CheckpointError, match=message):
+            run_search(SearchConfig(spec=GroupSpec(orders), target_size=size, mode=mode,
+                                    checkpoint_path=str(path)))
+        assert path.read_bytes() == before
+
+    def test_hit_of_this_search_resumes(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode="pair")
+        clean = run_search(cfg)
         path = str(tmp_path / "ck.json")
         checkpoint_save(path, CheckpointRecord(
-            config_hash=cfg.config_hash(), completed=[], stats=SearchStats(), hits=certs))
-        assert [c.to_dict() for c in _load_checkpoint(path).hits] == [c.to_dict() for c in certs]
+            config_hash=cfg.config_hash(), completed=enumerate_tasks(cfg),
+            stats=SearchStats(hits=len(clean.certificates)), hits=clean.certificates))
+        monkeypatch.setattr(search, "_run_task", None)
+        resumed = run_search(SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode="pair",
+                                          checkpoint_path=path))
+        assert resumed.complete and resumed.stats.hits == len(clean.certificates)
+        assert [c.to_dict() for c in resumed.certificates] == [c.to_dict() for c in clean.certificates]
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -839,18 +971,34 @@ class TestCheckpointing:
         d_clean.pop("elapsed"), d_res.pop("elapsed")
         assert d_clean == d_res
 
-    @pytest.mark.parametrize("checkpointed", [True, False])
-    def test_dead_worker_is_exit_3_and_resumable(self, tmp_path, monkeypatch, capsys, checkpointed):
-        # a pool worker that dies on the last task breaks the pool: one line
-        # on stderr, exit 3, and the saved tasks resume to the clean result
-        base = dict(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
+    @pytest.mark.parametrize("checkpointed,where", [
+        pytest.param(True, "last", id="True"),
+        pytest.param(False, "last", id="False"),
+        pytest.param(True, "mid_chunk", id="mid_chunk-True"),
+        pytest.param(False, "mid_chunk", id="mid_chunk-False"),
+    ])
+    def test_dead_worker_is_exit_3_and_resumable(self, tmp_path, monkeypatch, capsys, checkpointed, where):
+        # a pool worker that dies on a task breaks the pool: one line on
+        # stderr, exit 3, and the saved tasks resume to the clean result.  The
+        # doomed task is the last one, alone in its chunk, or one mid-list
+        # inside a chunk of many tasks, whose other tasks are then lost too
+        if where == "last":
+            base = dict(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
+            args = ["--group", "2,8", "--size", "4", "--mode", "pair", "--frontier-depth", "2"]
+        else:
+            base = MANY_TASKS["Z49"]
+            args = ["--group", "49", "--size", "7", "--mode", "self_dual", "--frontier-depth", "4"]
+            # chunks as large as the queue allows, whatever the task times
+            monkeypatch.setattr(search, "_CHUNK_SECONDS", 1e9)
         clean = run_search(SearchConfig(**base))
         tasks = enumerate_tasks(SearchConfig(**base))
-        monkeypatch.setattr(sys.modules[__name__], "_DOOMED_TASK", tasks[-1])
+        doomed = len(tasks) - 1 if where == "last" else len(tasks) // 2
+        if where == "mid_chunk":
+            chunk = next(c for c in _queue_bound_chunks(len(tasks), 2) if c[0] < doomed < c[1] - 1)
+        monkeypatch.setattr(sys.modules[__name__], "_DOOMED_TASK", tasks[doomed])
         monkeypatch.setattr(search, "_pool_worker", _worker_dying_on_doomed_task)
         path = str(tmp_path / "ck.json")
-        argv = ["search", "--group", "2,8", "--size", "4", "--mode", "pair", "--symmetry",
-                "affine", "--frontier-depth", "2", "--jobs", "2", "--out", str(tmp_path / "out")]
+        argv = ["search", *args, "--symmetry", "affine", "--jobs", "2", "--out", str(tmp_path / "out")]
         code = main(argv + (["--checkpoint", path] if checkpointed else []))
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
@@ -859,7 +1007,8 @@ class TestCheckpointing:
             assert "no checkpoint was given" in err[0]
             return
         record = _load_checkpoint(path)
-        assert tasks[-1] not in record.completed
+        lost = tasks[chunk[0]:chunk[1]] if where == "mid_chunk" else [tasks[doomed]]
+        assert not set(lost) & set(record.completed)
         assert f"{len(record.completed)} of {len(tasks)} tasks are saved in checkpoint {path}" in err[0]
         monkeypatch.undo()
         resumed = run_search(SearchConfig(**base, checkpoint_path=path))
