@@ -24,9 +24,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# Aut(G) is enumerated in full, one (|Aut|, |G|) int16 table; this cap on
-# its closed-form order keeps a group with huge symmetry (e.g. Z_2^6,
-# Z_2^4 x Z_4) from blowing up.  Such a group gets the identity alone.
+# Aut(G) is enumerated in full, one (|Aut|, |G|) uint8 table (every index
+# fits, as |G| <= MAX_GROUP_ORDER); this cap on its closed-form order keeps
+# a group with huge symmetry (e.g. Z_2^6, Z_2^4 x Z_4) from blowing up.
+# Such a group gets the identity alone.
 DEFAULT_AUT_CAP = 1 << 18
 
 MAX_GROUP_ORDER = 256
@@ -349,7 +350,7 @@ def standard_pairing(spec: GroupSpec) -> PairingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
-    """Automorphisms of a group as the rows of one (A, N) int16 index table:
+    """Automorphisms of a group as the rows of one (A, N) uint8 index table:
     an automorphism alpha is the row listing alpha(x) for x = 0..N-1.
 
     ``complete`` is False when |Aut(G)| is above ``DEFAULT_AUT_CAP``; the
@@ -374,7 +375,7 @@ class AutomorphismGroup:
 def _add_table(spec: GroupSpec) -> np.ndarray:
     """(N, N) table of index addition."""
     coords = spec.coords
-    return spec.index_of(coords[:, None, :] + coords[None, :, :]).astype(np.int16)
+    return spec.index_of(coords[:, None, :] + coords[None, :, :]).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -429,16 +430,26 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
-# blocks of the automorphism enumeration have at most _IMAGE_BLOCK // |G|
-# rows, so none of its (rows, |G|) temporaries, the int64 gather indices
-# among them, exceeds _IMAGE_BLOCK entries (1 MB)
+# blocks of the automorphism enumeration, and of the row scan that builds a
+# chain level, have at most _IMAGE_BLOCK // |G| rows, so none of their
+# (rows, |G|) temporaries, the int64 gather indices among them, exceeds
+# _IMAGE_BLOCK entries (1 MB)
 _IMAGE_BLOCK = 1 << 17
+
+
+def _check_order(spec: GroupSpec) -> None:
+    """Reject a group whose indices do not fit the uint8 tables."""
+    if spec.order > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"automorphism enumeration supports |G| <= {MAX_GROUP_ORDER}, got {spec.order}"
+        )
 
 
 def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndarray]:
     """Index tables of the automorphisms, rows in lexicographic order of the
-    generator images, as (B, |G|) int16 blocks of at most
-    ``_IMAGE_BLOCK // |G|`` rows.
+    generator images, as (B, |G|) uint8 blocks of at most
+    ``_IMAGE_BLOCK // |G|`` rows.  Raises ValueError, on the call, for
+    |G| > ``MAX_GROUP_ORDER``.
 
     Images g_i with n_i g_i = 0 define the map x -> x_1 g_1 + ... + x_k g_k.
     A prefix (g_1, ..., g_i) carries its partial table, the images of
@@ -453,6 +464,7 @@ def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndar
     E[g] == target[e_i], and a prefix is dropped as soon as its table fails
     on its own domain, the elements (x_1, ..., x_i, 0, ..., 0).
     """
+    _check_order(spec)
     n, m = spec.order, spec.exponent
     mult, add = _multiples(spec), _add_table(spec).ravel()
     cands = []
@@ -485,7 +497,7 @@ def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndar
             if len(grown):
                 yield from extend(grown, i + 1)
 
-    yield from extend(np.zeros((1, 1), dtype=np.int16), 0)
+    return extend(np.zeros((1, 1), dtype=np.uint8), 0)
 
 
 @lru_cache(maxsize=None)
@@ -495,18 +507,15 @@ def automorphism_group(spec: GroupSpec) -> AutomorphismGroup:
 
     The closed-form order decides the cap before anything is enumerated.
     Above it the table holds the identity row alone, flagged incomplete.
-    Requires |G| <= 256.
+    Either way the table is uint8, which needs |G| <= ``MAX_GROUP_ORDER``.
     """
-    if spec.order > MAX_GROUP_ORDER:
-        raise ValueError(
-            f"automorphism enumeration supports |G| <= {MAX_GROUP_ORDER}, got {spec.order}"
-        )
+    _check_order(spec)
     count = aut_order(spec)
     complete = count <= DEFAULT_AUT_CAP
     if not complete:
-        tables = np.arange(spec.order, dtype=np.int16)[None, :]
+        tables = np.arange(spec.order, dtype=np.uint8)[None, :]
     else:
-        tables = np.empty((count, spec.order), dtype=np.int16)
+        tables = np.empty((count, spec.order), dtype=np.uint8)
         filled = 0
         for block in _aut_tables(spec):
             tables[filled : filled + len(block)] = block
@@ -542,8 +551,8 @@ class _ChainLevel(NamedTuple):
     prefix pointwise.  ``om[g]`` is the least element of g's orbit under
     them, and the table row starting at flat offset ``rho[g]`` sends g
     there.  ``om`` is |G| at 0 and at the prefix, so matched elements never
-    count as a smallest next element.  Both are None once only the identity
-    is left.
+    count as a smallest next element; it is int16, as |G| can be 256.  Both
+    are None once only the identity is left.
     """
 
     auts: np.ndarray
@@ -604,14 +613,33 @@ class AffineReducer:
     def _make_level(
         self, auts: np.ndarray, block: np.ndarray, prefix: tuple[int, ...]
     ) -> _ChainLevel:
-        """Level over the automorphisms ``auts`` whose tables are ``block``."""
+        """Level over the automorphisms ``auts`` whose tables are ``block``.
+
+        ``rho[g]`` comes from the first row attaining ``om[g]``, as argmin
+        gives it.  argmin(axis=0) copies the block transposed, so only a
+        block of at most ``_IMAGE_BLOCK`` entries goes through it; a larger
+        one is scanned in row blocks of that size, until every g is found.
+        """
         if len(auts) == 1:
             return _ChainLevel(auts, None, None)
         n = self.spec.order
-        om = block.min(axis=0)
-        rho = auts[block.argmin(axis=0)] * n
+        low = block.min(axis=0)
+        step = max(1, _IMAGE_BLOCK // n)
+        if len(block) <= step:
+            first = block.argmin(axis=0)
+        else:
+            first = np.empty(n, dtype=np.intp)
+            todo = np.arange(n)
+            for lo in range(0, len(block), step):
+                hit = block[lo : lo + step, todo] == low[todo]
+                found = hit.any(axis=0)
+                first[todo[found]] = lo + hit.argmax(axis=0)[found]
+                todo = todo[~found]
+                if not len(todo):
+                    break
+        om = low.astype(np.int16)
         om[[0, *prefix]] = n
-        return _ChainLevel(auts, om, rho)
+        return _ChainLevel(auts, om, auts[first] * n)
 
     def _level(self, prefix: tuple[int, ...]) -> _ChainLevel:
         """The chain level fixing ``prefix``, built from its parent on first use."""
@@ -726,7 +754,7 @@ class AffineReducer:
         present = np.zeros(n, dtype=bool)
         present[xs] = True
         distinct = np.flatnonzero(present).tolist()
-        stack = np.empty((len(distinct), n), dtype=self.tables.dtype)
+        stack = np.empty((len(distinct), n), dtype=np.int16)
         for i, x in enumerate(distinct):
             om = self._level(prefix + (x,)).om
             if om is None:

@@ -483,12 +483,12 @@ def aut_images_dfs(orders):
 
 @lru_cache(maxsize=4)
 def aut_tables_oracle(orders):
-    """(|Aut|, N) int16 tables in the DFS order: x maps to sum x_i g_i,
+    """(|Aut|, N) uint8 tables in the DFS order: x maps to sum x_i g_i,
     summed on coordinates."""
     orders = tuple(orders)
     coords, weights = _coords_and_weights(orders)
     images = np.array(aut_images_dfs(orders), dtype=np.int64).reshape(-1, len(orders))
-    out = np.empty((len(images), len(coords)), dtype=np.int16)
+    out = np.empty((len(images), len(coords)), dtype=np.uint8)
     for lo in range(0, len(images), 4096):
         gc = coords[images[lo : lo + 4096]]  # (a, k, k): coordinates of each image
         out[lo : lo + 4096] = (np.einsum("xi,aij->axj", coords, gc) % orders) @ weights

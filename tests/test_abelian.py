@@ -373,7 +373,7 @@ class TestAutEnumerator:
         gens = list(spec.generator_indices())
         total, last = 0, None
         for tables in _aut_tables(spec):
-            assert tables.dtype == np.int16 and tables.shape[1] == spec.order
+            assert tables.dtype == np.uint8 and tables.shape[1] == spec.order
             assert 0 < len(tables) <= (1 << 20) // spec.order
             images = tables[:, gens].astype(np.int64)
             if last is not None:
@@ -538,6 +538,70 @@ class TestStabilizerChain:
             assert reducer.canonical_form(node) == canon
             for probe in (node, canon):
                 assert reducer.is_canonical(probe) == scan_is_canonical(orders, auts.tables, probe)
+
+    @pytest.mark.parametrize("orders,block", [((2, 2, 4, 4), None), ((8, 8), None), ((8, 8), 3 * 64)])
+    def test_levels_match_argmin_reference(self, orders, block, monkeypatch):
+        # the root and the cached levels along random prefixes, half of them
+        # of canonical forms: auts are the rows fixing the prefix, om their
+        # minimum and rho the first row attaining it, as argmin gives it.
+        # Levels of more than 2^17 entries (Z2^2 x Z4^2's largest) are
+        # scanned by row blocks; block = 3 rows scans every Z8^2 level of
+        # more than 3 rows, over many row blocks
+        if block is not None:
+            monkeypatch.setattr(abelian, "_IMAGE_BLOCK", block)
+        spec = GroupSpec(orders)
+        auts = automorphism_group(spec)
+        reducer = AffineReducer(spec, auts)
+        n, tables = spec.order, auts.tables
+        rng = random.Random(n + len(orders))
+        prefixes = {()}
+        for i in range(8):
+            node = (0, *sorted(rng.sample(range(1, n), 6)))
+            if i % 2 == 0:
+                node = reducer.canonical_form(node)
+            prefixes.update(node[1:d] for d in range(2, len(node)))
+        kinds = set()
+        for prefix in sorted(prefixes, key=len):
+            level = reducer._level(prefix)
+            fixing = np.flatnonzero((tables[:, list(prefix)] == np.array(prefix, dtype=int)).all(axis=1))
+            assert level.auts.tolist() == fixing.tolist(), prefix
+            kinds.add(len(fixing) > 1)
+            if len(fixing) == 1:
+                assert level.om is None and level.rho is None
+                continue
+            rows = tables[fixing]
+            om = rows.min(axis=0).astype(np.int64)
+            om[[0, *prefix]] = n
+            assert level.om.dtype == np.int16 and level.om.tolist() == om.tolist(), prefix
+            assert level.rho.tolist() == (fixing[rows.argmin(axis=0)] * n).tolist(), prefix
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("orders,samples", [((2, 128), 30), ((4, 4, 16), 2)])
+    def test_order256_walks_match_scan(self, orders, samples):
+        # |G| = 256, so the om sentinel n does not fit the uint8 tables:
+        # canonical_form, and sampled canonical and non-canonical children
+        # and width-2 extensions of a canonical node, against the scan
+        spec = GroupSpec(orders)
+        auts = automorphism_group(spec)
+        reducer = auts.reducer
+        assert spec.order == 256 and auts.complete
+        rng = random.Random(len(auts))
+        node = (0, *sorted(rng.sample(range(1, 192), 3)))
+        canon = reducer.canonical_form(node)
+        assert canon == scan_canonical_form(orders, auts.tables, node)
+        cands = np.arange(canon[-1] + 1, spec.order)
+        tails = _grandchild_tails(canon[-1] + 1, spec.order)
+        walks = [
+            (reducer.canonical_children(canon, cands).tolist(), cands[:, None]),
+            (reducer.canonical_extensions(canon, tails).tolist(), tails),
+        ]
+        for got, ext in walks:
+            for kind in (True, False):
+                where = [i for i, v in enumerate(got) if v == kind]
+                assert where, (orders, kind)
+                for i in rng.sample(where, min(samples, len(where))):
+                    probe = (*canon, *ext[i].tolist())
+                    assert scan_is_canonical(orders, auts.tables, probe) == kind, probe
 
     def test_capped_list_reduces_under_translations_only(self):
         spec = GroupSpec((2, 4))

@@ -259,7 +259,7 @@ class TestSelfDualLeafAgainstGather:
         tables = automorphism_group(spec).tables
         expected = tables[(e[tables] == target).all(axis=1)]
         blocks = list(_aut_tables(spec, match=(e, target)))
-        got = np.concatenate(blocks) if blocks else np.empty((0, spec.order), dtype=np.int16)
+        got = np.concatenate(blocks) if blocks else np.empty((0, spec.order), dtype=np.uint8)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), s
         return len(expected)
 
@@ -312,6 +312,48 @@ class TestSelfDualLeafAgainstGather:
             tracemalloc.stop()
         assert peak < 64 << 20
         assert all(verify_certificate(c)[0] for c in certs)
+
+    def test_order_limit_guards_the_enumerator(self):
+        # uint8 tables would wrap above 256 elements, so the enumerator
+        # refuses such a group when called, and with it the leaf test.
+        # {0, 1}^5 in Z4^5 is primitive and formally self-dual, so the leaf
+        # test gets as far as the enumeration
+        with pytest.raises(ValueError, match="256"):
+            _aut_tables(GroupSpec((18, 18)))
+        spec = GroupSpec((4,) * 5)
+        with pytest.raises(ValueError, match="256"):
+            _aut_tables(spec)
+        s = ElementSet.from_indices(spec.index_of(c) for c in itertools.product((0, 1), repeat=5))
+        assert is_primitive(spec, s).primitive
+        with pytest.raises(ValueError, match="256"):
+            self_dual_leaf_test(spec, s)
+
+    def test_largest_uncapped_setup_memory(self):
+        # Z4^2 x Z16: |G| = 256 with 196,608 automorphisms, the largest
+        # uncapped table.  Building it and the search context in a fresh
+        # interpreter grows the peak RSS by at most 1.5x the table's bytes
+        spec = GroupSpec((4, 4, 16))
+        table_bytes = aut_order(spec) * spec.order
+        assert aut_order(spec) <= DEFAULT_AUT_CAP
+        code = (
+            "import resource\n"
+            "from fdual import search\n"
+            "from fdual.abelian import GroupSpec, automorphism_group\n"
+            "def peak_kb():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "base = peak_kb()\n"
+            "spec = GroupSpec((4, 4, 16))\n"
+            "tables = automorphism_group(spec).tables\n"
+            "search._context(spec)\n"
+            "print(base, peak_kb(), tables.nbytes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        base_kb, peak_kb, nbytes = map(int, proc.stdout.split())
+        assert nbytes == table_bytes
+        assert (peak_kb - base_kb) * 1024 <= 1.5 * table_bytes
 
 
 class TestPaperResults:
