@@ -348,29 +348,6 @@ def standard_pairing(spec: GroupSpec) -> PairingMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AutomorphismGroup:
-    """Automorphisms of a group as the rows of one (A, N) uint8 index table:
-    an automorphism alpha is the row listing alpha(x) for x = 0..N-1.
-
-    ``complete`` is False when |Aut(G)| is above ``DEFAULT_AUT_CAP``; the
-    table then holds the identity row alone, which is all symmetry pruning
-    needs for soundness.
-    """
-
-    spec: GroupSpec
-    tables: np.ndarray
-    complete: bool
-
-    def __len__(self) -> int:
-        return int(self.tables.shape[0])
-
-    @cached_property
-    def reducer(self) -> "AffineReducer":
-        """Affine canonical forms over this group, built once and shared."""
-        return AffineReducer(self.spec, self)
-
-
 @lru_cache(maxsize=None)
 def _add_table(spec: GroupSpec) -> np.ndarray:
     """(N, N) table of index addition."""
@@ -501,18 +478,18 @@ def _aut_tables(spec: GroupSpec, match: tuple | None = None) -> Iterator[np.ndar
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(spec: GroupSpec) -> AutomorphismGroup:
-    """All of Aut(G) as index table rows, in lexicographic order of the
-    generator images, when |Aut(G)| is at most ``DEFAULT_AUT_CAP``.
+def automorphism_group(spec: GroupSpec) -> np.ndarray:
+    """All of Aut(G), when |Aut(G)| is at most ``DEFAULT_AUT_CAP``, as one
+    read-only (A, |G|) uint8 table whose row for alpha lists alpha(x) for
+    x = 0..|G|-1, rows in lexicographic order of the generator images.
 
     The closed-form order decides the cap before anything is enumerated.
-    Above it the table holds the identity row alone, flagged incomplete.
-    Either way the table is uint8, which needs |G| <= ``MAX_GROUP_ORDER``.
+    Above it the table holds the identity row alone, fewer rows than
+    ``aut_order(spec)``.  The uint8 table needs |G| <= ``MAX_GROUP_ORDER``.
     """
     _check_order(spec)
     count = aut_order(spec)
-    complete = count <= DEFAULT_AUT_CAP
-    if not complete:
+    if count > DEFAULT_AUT_CAP:
         tables = np.arange(spec.order, dtype=np.uint8)[None, :]
     else:
         tables = np.empty((count, spec.order), dtype=np.uint8)
@@ -523,7 +500,7 @@ def automorphism_group(spec: GroupSpec) -> AutomorphismGroup:
         if filled != count:
             raise AssertionError(f"enumerated {filled} automorphisms, expected {count}")
     tables.setflags(write=False)
-    return AutomorphismGroup(spec=spec, tables=tables, complete=complete)
+    return tables
 
 
 def pairing_from_automorphism(base: PairingMatrix, table: np.ndarray) -> PairingMatrix:
@@ -588,27 +565,34 @@ class AffineReducer:
     ``canonical_extensions`` tests the one- or two-element extensions of a
     node in a single walk: their prefixes are the node's except for the
     last level of a two-element tail, so the rows of all of them go down
-    together.  ``canonical_children`` is that walk with the node's children
-    and ``is_canonical`` with one child.  ``canonical_form`` takes the same
-    chain, choosing the minimum at each level.
+    together; ``is_canonical`` is that walk with one child.
+    ``canonical_form`` takes the same chain, choosing the minimum at each
+    level.
 
-    A capped group holds the identity alone, so the orbit is the
-    translation orbit: exact for that group and sound for pruning, though
-    equivalent sets may get different forms.
+    ``tables`` holds the automorphisms as rows (``automorphism_group``).
+    With fewer rows than |Aut(G)|, as a capped group's identity row, the
+    reducer is not ``complete``; the identity alone gives the translation
+    orbit: exact for that table and sound for pruning, though equivalent
+    sets may get different forms.
     """
 
     # prefixes kept in the level cache before it is emptied
     MAX_CACHED_LEVELS = 1 << 14
 
-    def __init__(self, spec: GroupSpec, auts: AutomorphismGroup):
-        if auts.spec != spec:
-            raise ValueError("automorphism group belongs to a different group spec")
+    def __init__(self, spec: GroupSpec, tables: np.ndarray):
+        if tables.ndim != 2 or tables.shape[1] != spec.order:
+            raise ValueError(f"automorphism table must be (A, {spec.order}), got {tables.shape}")
         self.spec = spec
-        self.tables = auts.tables
-        self._flat = self.tables.ravel()
+        self.tables = tables
+        self._flat = tables.ravel()
         self._sub = _sub_table(spec)
-        self._root = self._make_level(np.arange(len(self.tables)), self.tables, ())
+        self._root = self._make_level(np.arange(len(tables)), tables, ())
         self._levels: dict[tuple[int, ...], _ChainLevel] = {}
+
+    @property
+    def complete(self) -> bool:
+        """True iff the table holds all of Aut(G)."""
+        return len(self.tables) == aut_order(self.spec)
 
     def _make_level(
         self, auts: np.ndarray, block: np.ndarray, prefix: tuple[int, ...]
@@ -671,10 +655,6 @@ class AffineReducer:
         """True iff the sorted index list is its own canonical form."""
         node = list(map(int, indices))
         return bool(self.canonical_extensions(node[:-1], [node[-1:]])[0])
-
-    def canonical_children(self, node: Sequence[int], cands: Sequence[int]) -> np.ndarray:
-        """Boolean array equal to ``[is_canonical(node + [y]) for y in cands]``."""
-        return self.canonical_extensions(node, np.asarray(cands, dtype=np.intp))
 
     def canonical_extensions(self, node: Sequence[int], tails) -> np.ndarray:
         """Boolean array equal to ``[is_canonical(node + list(t)) for t in tails]``
@@ -781,10 +761,14 @@ class AffineReducer:
         return tuple(min(np.sort(rows, axis=1).tolist()))
 
 
-def affine_canonical_form(
-    spec: GroupSpec, s: ElementSet, auts: AutomorphismGroup
-) -> ElementSet:
+@lru_cache(maxsize=None)
+def affine_reducer(spec: GroupSpec) -> AffineReducer:
+    """The reducer over ``automorphism_group(spec)``, built once per group."""
+    return AffineReducer(spec, automorphism_group(spec))
+
+
+def affine_canonical_form(spec: GroupSpec, s: ElementSet) -> ElementSet:
     """Canonical representative of the affine orbit of a nonempty set."""
     if not s:
         raise ValueError("canonical form of the empty set is undefined")
-    return ElementSet.from_indices(auts.reducer.canonical_form(s.indices))
+    return ElementSet.from_indices(affine_reducer(spec).canonical_form(s.indices))

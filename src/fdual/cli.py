@@ -1,7 +1,7 @@
 """Command line surface: verify, spectrum, nu, primitive, search.
 
-Exit codes: 0 success / property holds, 1 checked and fails, 2 malformed
-input or invalid configuration, 3 search stopped by budget or by a dead
+Exit codes: 0 success / property holds, 1 checked and fails, 2 bad input,
+configuration or output path, 3 search stopped by budget or by a dead
 worker process.  The gap between 1 and 3 matters: 1 is a verdict, 3 is an
 unfinished computation and never a claim of non-existence.
 """
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -54,9 +54,10 @@ from .abelian import (
     ElementSet,
     GroupSpec,
     _aut_tables,
+    _is_int,
     _multiples,
     _sub_table,
-    automorphism_group,
+    affine_reducer,
     pairing_from_automorphism,
     standard_pairing,
 )
@@ -177,7 +178,9 @@ class SearchStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchStats":
-        counts = {name: int(data[name]) for name in _COUNTERS}
+        counts = {name: data[name] for name in _COUNTERS}
+        if not all(map(_is_int, counts.values())):
+            raise ValueError(f"stats counters must be integers, got {counts}")
         return cls(**counts, elapsed=float(data.get("elapsed", 0.0)))
 
 
@@ -214,9 +217,8 @@ class _SearchContext:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.n = spec.order
-        self.pairing0 = standard_pairing(spec)
         everything = range(self.n)
-        exponents = self.pairing0.exponents(everything, everything)
+        exponents = standard_pairing(spec).exponents(everything, everything)
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
         # one nonzero character t per orbit of t -> u*t, u a unit mod m: its
         # |chi_t(S)|^2 and those of its orbit are Galois conjugates
@@ -225,8 +227,7 @@ class _SearchContext:
         lowest = _multiples(spec)[units].min(axis=0)
         self.orbit_rows = np.flatnonzero(lowest == np.arange(self.n))[1:]
         self.orbit_matrix = self.char_matrix[self.orbit_rows]
-        self.auts = automorphism_group(spec)
-        self.reducer = self.auts.reducer
+        self.reducer = affine_reducer(spec)
 
 
 @lru_cache(maxsize=8)
@@ -676,20 +677,27 @@ class CheckpointRecord:
 
 
 def checkpoint_save(path: str, record: CheckpointRecord) -> None:
-    """Write the record as one line of compact JSON, atomically."""
+    """Write the record as one line of compact JSON, atomically; a failed
+    write is a CheckpointError naming the path."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
 def _load_checkpoint(path: str) -> CheckpointRecord:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        completed = [tuple(t) for t in data["completed"]]
+        if not all(_is_int(x) for t in completed for x in t):
+            raise ValueError("completed tasks must be lists of integers")
         return CheckpointRecord(
             config_hash=str(data["config_hash"]),
-            completed=[tuple(int(x) for x in t) for t in data["completed"]],
+            completed=completed,
             stats=SearchStats.from_dict(data["stats"]),
             hits=[Certificate.from_dict(d) for d in data["hits"]],
             version=str(data["version"]),
@@ -698,38 +706,45 @@ def _load_checkpoint(path: str) -> CheckpointRecord:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _resume_from(path: str, config: SearchConfig, config_hash: str) -> CheckpointRecord:
+def _resume_from(
+    path: str, config: SearchConfig, tasks: list[tuple[int, ...]]
+) -> CheckpointRecord:
     """The checkpoint at path, refused unless this version wrote it for
-    config (whose hash is config_hash) and every hit belongs to config's
-    group, mode and set size."""
+    config, it completed only tasks of config's frontier ``tasks``, every
+    hit belongs to config's group, mode and set size, and it counts them."""
     record = _load_checkpoint(path)
-    if record.version != __version__:
-        raise CheckpointError(
-            f"checkpoint was written by fdual {record.version}, this is "
-            f"{__version__}; refusing to resume"
-        )
-    if record.config_hash != config_hash:
-        raise CheckpointError(
-            "checkpoint was written by a different search configuration "
-            f"(hash {record.config_hash[:12]}... != {config_hash[:12]}...); "
-            "refusing to resume"
-        )
+    config_hash = config.config_hash()
     wanted = (config.spec.orders, config.mode, config.target_size)
-    for cert in record.hits:
-        found = (cert.spec.orders, cert.kind, len(cert.s))
-        if found != wanted:
-            raise CheckpointError(
-                f"checkpoint {path} holds a hit from another search (group orders "
-                f"{list(found[0])}, mode {found[1]}, |S| = {found[2]}; this search has "
-                f"{list(wanted[0])}, {wanted[1]}, {wanted[2]}); refusing to resume"
-            )
-    return record
+    strays = [c for c in record.hits if (c.spec.orders, c.kind, len(c.s)) != wanted]
+    unknown = sorted(set(record.completed) - set(tasks))
+    if record.version != __version__:
+        problem = f"was written by fdual {record.version}, this is {__version__}"
+    elif record.config_hash != config_hash:
+        problem = (
+            "was written by a different search configuration "
+            f"(hash {record.config_hash[:12]}... != {config_hash[:12]}...)"
+        )
+    elif strays:
+        hit = strays[0]
+        problem = (
+            f"holds a hit from another search (group orders {list(hit.spec.orders)}, mode "
+            f"{hit.kind}, |S| = {len(hit.s)}; this search has {list(wanted[0])}, "
+            f"{wanted[1]}, {wanted[2]})"
+        )
+    elif unknown:
+        problem = f"completed {list(unknown[0])}, which is no task of this search"
+    elif record.stats.hits != len(record.hits):
+        problem = f"counts {record.stats.hits} hits but holds {len(record.hits)}"
+    else:
+        return record
+    raise CheckpointError(f"checkpoint {path} {problem}; refusing to resume")
 
 
 def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
     """Remaining tasks after a checkpoint; refuses it as ``_resume_from`` does."""
-    done = set(_resume_from(path, config, config.config_hash()).completed)
-    return [t for t in enumerate_tasks(config) if t not in done]
+    tasks = enumerate_tasks(config)
+    done = set(_resume_from(path, config, tasks).completed)
+    return [t for t in tasks if t not in done]
 
 
 # ---------------------------------------------------------------------------
@@ -800,22 +815,22 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     budget = _Budget(config.budget) if config.budget is not None else None
     config_hash = config.config_hash()
 
+    # the frontier enumeration, then a task cut short by the budget if any
+    unsaved = SearchStats()
+    tasks = _enumerate_frontier(config, ctx, unsaved, budget)
+
     completed_stats = SearchStats()
     hits: list[Certificate] = []
     done: set[tuple[int, ...]] = set()
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     if resumed:
-        record = _resume_from(config.checkpoint_path, config, config_hash)
+        record = _resume_from(config.checkpoint_path, config, tasks)
         done = set(record.completed)
         completed_stats.merge_counts(record.stats)
         hits = list(record.hits)
 
-    # the frontier enumeration, then a task cut short by the budget if any
-    unsaved = SearchStats()
-    tasks = _enumerate_frontier(config, ctx, unsaved, budget)
-
     caveats: list[str] = []
-    if not ctx.auts.complete and config.symmetry == "affine":
+    if not ctx.reducer.complete and config.symmetry == "affine":
         caveats.append(
             "automorphism enumeration was capped: equivalent orbits may "
             "be reported separately"

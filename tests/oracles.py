@@ -331,13 +331,12 @@ def union_of_cosets_oracle(spec, s):
 def exact_pair_classes(spec, size):
     """Affine classes of primitive S admitting a primitive partner, by trying
     every S and every T with the exact checker.  Only viable for tiny groups."""
-    from fdual.abelian import ElementSet, affine_canonical_form, automorphism_group, standard_pairing
+    from fdual.abelian import ElementSet, affine_canonical_form, standard_pairing
     from fdual.duality import check_pair
     from fdual.primitivity import is_primitive
 
     n = spec.order
     t_size = n // size
-    auts = automorphism_group(spec)
     pairing = standard_pairing(spec)
     classes = set()
     for s_idx in itertools.combinations(range(n), size):
@@ -349,7 +348,7 @@ def exact_pair_classes(spec, size):
             if not is_primitive(spec, t).primitive:
                 continue
             if check_pair(spec, pairing, s, t).holds:
-                classes.add(affine_canonical_form(spec, s, auts).indices)
+                classes.add(affine_canonical_form(spec, s).indices)
                 break
     return classes
 
@@ -568,7 +567,7 @@ def burnside_orbit_counts(orders, max_size):
 
 def orderly_orbit_counts(reducer, max_size):
     """Canonical nodes at each depth 1..max_size of the orderly tree, every
-    child gated by ``canonical_children`` and no room bound: one node per
+    child gated by ``canonical_extensions`` and no room bound: one node per
     affine orbit of d-subsets when the reducer drops none."""
     n = reducer.spec.order
     counts, layer = [1], [[0]]
@@ -576,7 +575,7 @@ def orderly_orbit_counts(reducer, max_size):
         nxt = []
         for node in layer:
             xs = range(node[-1] + 1, n)
-            nxt += [node + [x] for x, ok in zip(xs, reducer.canonical_children(node, xs)) if ok]
+            nxt += [node + [x] for x, ok in zip(xs, reducer.canonical_extensions(node, xs)) if ok]
         layer = nxt
         counts.append(len(layer))
     return counts

@@ -12,12 +12,12 @@ from fdual import abelian
 from fdual.abelian import (
     DEFAULT_AUT_CAP,
     AffineReducer,
-    AutomorphismGroup,
     ElementSet,
     GroupSpec,
     PairingMatrix,
     _aut_tables,
     affine_canonical_form,
+    affine_reducer,
     aut_order,
     automorphism_group,
     negate_set,
@@ -232,18 +232,17 @@ class TestAutomorphisms:
         [((2, 2), 6), ((4,), 2), ((2, 4), 8), ((3,), 2), ((8,), 4), ((2, 2, 2), 168)],
     )
     def test_group_sizes(self, orders, count):
-        group = automorphism_group(GroupSpec(orders))
-        assert len(group) == count
-        assert group.complete
+        assert len(automorphism_group(GroupSpec(orders))) == count
+        assert affine_reducer(GroupSpec(orders)).complete
 
     def test_z4_tables(self):
-        tables = sorted(map(tuple, automorphism_group(Z4).tables.tolist()))
+        tables = sorted(map(tuple, automorphism_group(Z4).tolist()))
         assert tables == [(0, 1, 2, 3), (0, 3, 2, 1)]
 
     def test_identity_always_included(self):
         for spec in SPEC_POOL[:10]:
-            group = automorphism_group(spec)
-            assert (group.tables == np.arange(spec.order)).all(axis=1).any()
+            tables = automorphism_group(spec)
+            assert (tables == np.arange(spec.order)).all(axis=1).any()
 
     def test_tables_are_homomorphisms(self):
         # exhaustive pair check on full groups of modest order, sampled rows
@@ -252,12 +251,12 @@ class TestAutomorphisms:
         for spec in SPEC_POOL:
             if spec.order > 64:
                 continue
-            group = automorphism_group(spec)
-            picks = range(len(group)) if len(group) <= 60 else rng.sample(
-                range(len(group)), 40
+            tables = automorphism_group(spec)
+            picks = range(len(tables)) if len(tables) <= 60 else rng.sample(
+                range(len(tables)), 40
             )
             for i in picks:
-                assert is_automorphism_table(spec, group.tables[i]), (spec.orders, i)
+                assert is_automorphism_table(spec, tables[i]), (spec.orders, i)
 
     def test_oracle_rejects_non_automorphisms(self):
         spec = Z2Z4
@@ -284,12 +283,11 @@ class TestAutomorphisms:
         for spec in SPEC_POOL:
             if spec.order > 64:
                 continue
-            group = automorphism_group(spec)
             add = _add_table(spec).astype(np.int64)
-            tables = group.tables.astype(np.int64)
+            tables = automorphism_group(spec).astype(np.int64)
             gens = list(spec.generator_indices())
             chunk = max(1, (1 << 24) // (spec.order * len(gens)))
-            for lo in range(0, len(group), chunk):
+            for lo in range(0, len(tables), chunk):
                 block = tables[lo : lo + chunk]
                 lhs = block[:, add[:, gens]]  # pi(x + g)
                 rhs = add[block[:, :, None], block[:, None, gens]]  # pi(x) + pi(g)
@@ -300,9 +298,8 @@ class TestAutomorphisms:
     def test_order64_group_sizes(self, orders, count):
         # |GL_2(Z/8)| = 2^8 * |GL_2(F_2)| = 1536; the mixed group's order
         # comes out of the endomorphism-unit count for type (1,1,2,2)
-        group = automorphism_group(GroupSpec(orders))
-        assert len(group) == count
-        assert group.complete
+        assert len(automorphism_group(GroupSpec(orders))) == count
+        assert affine_reducer(GroupSpec(orders)).complete
 
     def test_order_limit(self):
         with pytest.raises(ValueError):
@@ -342,12 +339,12 @@ class TestAutEnumerator:
     def test_tables_match_dfs(self, orders):
         # byte-identical, rows in the same order
         spec = GroupSpec(orders)
-        group = automorphism_group(spec)
+        tables = automorphism_group(spec)
         expected = aut_tables_oracle(orders)
-        assert group.complete
-        assert len(group) == aut_order(spec) == len(expected)
-        assert group.tables.dtype == expected.dtype and group.tables.shape == expected.shape
-        assert group.tables.tobytes() == expected.tobytes()
+        assert len(tables) == aut_order(spec) == len(expected)
+        assert tables.dtype == expected.dtype and tables.shape == expected.shape
+        assert tables.tobytes() == expected.tobytes()
+        assert not tables.flags.writeable
 
     @pytest.mark.parametrize(
         "orders,count",
@@ -361,9 +358,10 @@ class TestAutEnumerator:
     def test_cap_decided_by_closed_form(self):
         assert aut_order(GroupSpec((2,) * 5)) > DEFAULT_AUT_CAP >= aut_order(GroupSpec((2,) * 4))
         capped = automorphism_group(GroupSpec((2,) * 5))
-        assert not capped.complete and len(capped) == 1
-        assert (capped.tables == np.arange(32)).all()
-        assert automorphism_group(GroupSpec((2,) * 4)).complete
+        assert len(capped) == 1 and capped.dtype == np.uint8
+        assert (capped == np.arange(32)).all()
+        assert not affine_reducer(GroupSpec((2,) * 5)).complete
+        assert affine_reducer(GroupSpec((2,) * 4)).complete
 
     def test_capped_group_enumerates_in_bounded_blocks(self):
         # all of Aut(Z2^4 x Z4), 40x the cap, streamed as table blocks: the
@@ -407,42 +405,40 @@ class TestPairingFromAutomorphism:
         rng = random.Random(29)
         for spec in SPEC_POOL[:10]:
             base = standard_pairing(spec)
-            group = automorphism_group(spec)
+            tables = automorphism_group(spec)
             for _ in range(5):
-                alpha = group.tables[rng.randrange(len(group))]
+                alpha = tables[rng.randrange(len(tables))]
                 assert pairing_from_automorphism(base, alpha).is_nondegenerate
 
 
 class TestCanonicalForm:
     def test_examples(self):
-        auts = automorphism_group(Z4)
-        assert affine_canonical_form(Z4, ElementSet.from_indices([2, 3]), auts).indices == (0, 1)
-        assert affine_canonical_form(Z4, ElementSet.from_indices([0, 2]), auts).indices == (0, 2)
+        assert affine_canonical_form(Z4, ElementSet.from_indices([2, 3])).indices == (0, 1)
+        assert affine_canonical_form(Z4, ElementSet.from_indices([0, 2])).indices == (0, 2)
 
     def test_idempotent(self):
         rng = random.Random(31)
         for spec in SPEC_POOL[:12]:
-            auts = automorphism_group(spec)
             for _ in range(20):
                 size = rng.randint(1, min(6, spec.order))
                 s = ElementSet.from_indices(rng.sample(range(spec.order), size))
-                c1 = affine_canonical_form(spec, s, auts)
-                assert affine_canonical_form(spec, c1, auts) == c1
+                c1 = affine_canonical_form(spec, s)
+                assert affine_canonical_form(spec, c1) == c1
 
     def test_constant_on_orbits(self):
         rng = random.Random(37)
         for spec in SPEC_POOL[:12]:
-            auts = automorphism_group(spec)
+            tables = automorphism_group(spec)
             for _ in range(15):
                 size = rng.randint(1, min(5, spec.order))
                 s = ElementSet.from_indices(rng.sample(range(spec.order), size))
-                canon = affine_canonical_form(spec, s, auts)
-                alpha = auts.tables[rng.randrange(len(auts))]
+                canon = affine_canonical_form(spec, s)
+                alpha = tables[rng.randrange(len(tables))]
                 image = map_set(alpha, s)
                 v = rng.choice(image.indices)
                 moved = translate(spec, image, oracle_neg(spec, v))
                 assert 0 in moved
-                assert affine_canonical_form(spec, moved, auts) == canon
+                assert affine_canonical_form(spec, moved) == canon
 
     def test_is_canonical_matches_fixpoint(self):
         rng = random.Random(41)
@@ -456,17 +452,17 @@ class TestCanonicalForm:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            affine_canonical_form(Z4, ElementSet(), automorphism_group(Z4))
+            affine_canonical_form(Z4, ElementSet())
 
 
 @lru_cache(maxsize=None)
 def _small_forms(orders):
     """Scanned canonical forms of every 0-containing node of size <= 6."""
-    auts = automorphism_group(GroupSpec(orders))
-    assert auts.complete
+    spec = GroupSpec(orders)
+    assert affine_reducer(spec).complete
     return {
-        size: scan_forms_by_orbit(orders, auts.tables, size)
-        for size in range(1, min(6, auts.spec.order) + 1)
+        size: scan_forms_by_orbit(orders, automorphism_group(spec), size)
+        for size in range(1, min(6, spec.order) + 1)
     }
 
 
@@ -492,7 +488,7 @@ class TestStabilizerChain:
             for node in forms[size]:
                 cands = range(node[-1] + 1, spec.order)
                 expected = [forms[size + 1][(*node, y)] == (*node, y) for y in cands]
-                got = reducer.canonical_children(node, cands)
+                got = reducer.canonical_extensions(node, cands)
                 assert got.dtype == bool and got.tolist() == expected, (orders, node)
 
     @pytest.mark.parametrize(
@@ -503,8 +499,8 @@ class TestStabilizerChain:
         # half the parents are canonical forms, half random nodes (which are
         # rarely canonical); children=None takes every y above the parent
         spec = GroupSpec(orders)
-        auts = automorphism_group(spec)
-        reducer = AffineReducer(spec, auts)
+        tables = automorphism_group(spec)
+        reducer = AffineReducer(spec, tables)
         rng = random.Random(sum(orders) + 7)
         parent_kinds, child_kinds = set(), set()
         for i in range(parents):
@@ -514,30 +510,30 @@ class TestStabilizerChain:
             cands = list(range(node[-1] + 1, spec.order))
             if children is not None:
                 cands = sorted(rng.sample(cands, min(children, len(cands))))
-            expected = [scan_is_canonical(orders, auts.tables, (*node, y)) for y in cands]
-            assert reducer.canonical_children(node, cands).tolist() == expected, (orders, node)
-            parent_kinds.add(scan_is_canonical(orders, auts.tables, node))
+            expected = [scan_is_canonical(orders, tables, (*node, y)) for y in cands]
+            assert reducer.canonical_extensions(node, cands).tolist() == expected, (orders, node)
+            parent_kinds.add(scan_is_canonical(orders, tables, node))
             child_kinds.update(expected)
         assert parent_kinds == child_kinds == {True, False}
 
     def test_children_edge_cases(self):
-        reducer = automorphism_group(Z2Z4).reducer
-        assert reducer.canonical_children([], [0, 1, 5]).tolist() == [True, False, False]
-        assert reducer.canonical_children([0, 1], []).tolist() == []
-        assert reducer.canonical_children([1, 2], [3, 4]).tolist() == [False, False]
+        reducer = affine_reducer(Z2Z4)
+        assert reducer.canonical_extensions([], [0, 1, 5]).tolist() == [True, False, False]
+        assert reducer.canonical_extensions([0, 1], []).tolist() == []
+        assert reducer.canonical_extensions([1, 2], [3, 4]).tolist() == [False, False]
 
     @pytest.mark.parametrize("orders,count", [((2, 2, 4, 4), 3), ((8, 8), 12), ((7, 7), 12)])
     def test_random_size8_nodes_match_scan(self, orders, count):
         spec = GroupSpec(orders)
-        auts = automorphism_group(spec)
-        reducer = AffineReducer(spec, auts)
+        tables = automorphism_group(spec)
+        reducer = AffineReducer(spec, tables)
         rng = random.Random(sum(orders))
         for _ in range(count):
             node = (0, *sorted(rng.sample(range(1, spec.order), 7)))
-            canon = scan_canonical_form(orders, auts.tables, node)
+            canon = scan_canonical_form(orders, tables, node)
             assert reducer.canonical_form(node) == canon
             for probe in (node, canon):
-                assert reducer.is_canonical(probe) == scan_is_canonical(orders, auts.tables, probe)
+                assert reducer.is_canonical(probe) == scan_is_canonical(orders, tables, probe)
 
     @pytest.mark.parametrize("orders,block", [((2, 2, 4, 4), None), ((8, 8), None), ((8, 8), 3 * 64)])
     def test_levels_match_argmin_reference(self, orders, block, monkeypatch):
@@ -550,9 +546,9 @@ class TestStabilizerChain:
         if block is not None:
             monkeypatch.setattr(abelian, "_IMAGE_BLOCK", block)
         spec = GroupSpec(orders)
-        auts = automorphism_group(spec)
-        reducer = AffineReducer(spec, auts)
-        n, tables = spec.order, auts.tables
+        tables = automorphism_group(spec)
+        reducer = AffineReducer(spec, tables)
+        n = spec.order
         rng = random.Random(n + len(orders))
         prefixes = {()}
         for i in range(8):
@@ -582,17 +578,17 @@ class TestStabilizerChain:
         # canonical_form, and sampled canonical and non-canonical children
         # and width-2 extensions of a canonical node, against the scan
         spec = GroupSpec(orders)
-        auts = automorphism_group(spec)
-        reducer = auts.reducer
-        assert spec.order == 256 and auts.complete
-        rng = random.Random(len(auts))
+        tables = automorphism_group(spec)
+        reducer = affine_reducer(spec)
+        assert spec.order == 256 and reducer.complete
+        rng = random.Random(len(tables))
         node = (0, *sorted(rng.sample(range(1, 192), 3)))
         canon = reducer.canonical_form(node)
-        assert canon == scan_canonical_form(orders, auts.tables, node)
+        assert canon == scan_canonical_form(orders, tables, node)
         cands = np.arange(canon[-1] + 1, spec.order)
         tails = _grandchild_tails(canon[-1] + 1, spec.order)
         walks = [
-            (reducer.canonical_children(canon, cands).tolist(), cands[:, None]),
+            (reducer.canonical_extensions(canon, cands).tolist(), cands[:, None]),
             (reducer.canonical_extensions(canon, tails).tolist(), tails),
         ]
         for got, ext in walks:
@@ -601,12 +597,13 @@ class TestStabilizerChain:
                 assert where, (orders, kind)
                 for i in rng.sample(where, min(samples, len(where))):
                     probe = (*canon, *ext[i].tolist())
-                    assert scan_is_canonical(orders, auts.tables, probe) == kind, probe
+                    assert scan_is_canonical(orders, tables, probe) == kind, probe
 
     def test_capped_list_reduces_under_translations_only(self):
         spec = GroupSpec((2, 4))
         translations = np.arange(spec.order, dtype=np.int16)[None, :]
-        reducer = AffineReducer(spec, AutomorphismGroup(spec, translations, complete=False))
+        reducer = AffineReducer(spec, translations)
+        assert not reducer.complete
         rng = random.Random(43)
         for size in range(1, 6):
             for _ in range(10):
@@ -617,21 +614,25 @@ class TestStabilizerChain:
                 assert reducer.is_canonical(canon)
                 if canon[-1] < spec.order - 1:
                     cands = range(canon[-1] + 1, spec.order)
-                    assert reducer.canonical_children(canon, cands).tolist() == [
+                    assert reducer.canonical_extensions(canon, cands).tolist() == [
                         scan_is_canonical(spec.orders, translations, (*canon, y)) for y in cands
                     ]
         # (1, 0) and (1, 2) are one Aut-orbit, so {0, 4} and {0, 6} are one
         # affine orbit but two translation orbits
         assert reducer.canonical_form([0, 6]) == (0, 6)
-        assert automorphism_group(spec).reducer.canonical_form([0, 6]) == (0, 4)
+        assert affine_reducer(spec).canonical_form([0, 6]) == (0, 4)
 
-    def test_reducer_needs_its_own_group(self):
-        with pytest.raises(ValueError):
+    def test_table_of_the_wrong_shape_refused(self):
+        # the table must be 2-D with one column per element of Z2 x Z4
+        for shape in [(2, 4), (2, 16), (8,), (1, 2, 8)]:
+            with pytest.raises(ValueError, match=r"automorphism table must be \(A, 8\)"):
+                AffineReducer(Z2Z4, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"automorphism table must be \(A, 4\)"):
             AffineReducer(Z4, automorphism_group(Z2Z4))
 
     def test_reducer_built_once_per_group(self):
-        auts = automorphism_group(Z2Z4)
-        assert auts.reducer is auts.reducer
+        assert affine_reducer(Z2Z4) is affine_reducer(Z2Z4)
+        assert affine_reducer(Z2Z4).tables is automorphism_group(Z2Z4)
 
 
 def _grandchild_tails(first, stop):
@@ -640,10 +641,10 @@ def _grandchild_tails(first, stop):
 
 
 def _children_per_x(reducer, node, first, stop):
-    """canonical_children(node + [x], range(x + 1, stop)) for every x, joined."""
+    """canonical_extensions(node + [x], range(x + 1, stop)) for every x, joined."""
     out = []
     for x in range(first, stop):
-        out += reducer.canonical_children([*node, x], range(x + 1, stop)).tolist()
+        out += reducer.canonical_extensions([*node, x], range(x + 1, stop)).tolist()
     return out
 
 
@@ -673,7 +674,7 @@ class TestExtensionWalk:
         # small nodes (whose per-x last levels mix identity and larger
         # stabilizers) and random nodes of size 4-6, half of them canonical
         spec = GroupSpec(orders)
-        reducer = automorphism_group(spec).reducer
+        reducer = affine_reducer(spec)
         rng = random.Random(sum(orders) + 11)
         n = spec.order
         nodes = [(0,), (0, n // 8), (0, 1, n // 2)]
@@ -694,7 +695,7 @@ class TestExtensionWalk:
     def test_capped_group_walks_the_identity_chain(self):
         spec = GroupSpec((2, 8))
         translations = np.arange(spec.order, dtype=np.int16)[None, :]
-        reducer = AffineReducer(spec, AutomorphismGroup(spec, translations, complete=False))
+        reducer = AffineReducer(spec, translations)
         for size in range(1, 5):
             for rest in itertools.combinations(range(1, spec.order - 2), size - 1):
                 node = (0, *rest)
@@ -705,7 +706,7 @@ class TestExtensionWalk:
                 ], node
 
     def test_blocks_of_extensions_agree_with_one_walk(self, monkeypatch):
-        reducer = automorphism_group(GroupSpec((40,))).reducer
+        reducer = affine_reducer(GroupSpec((40,)))
         tails = _grandchild_tails(6, 40)
         whole = reducer.canonical_extensions([0, 1, 5], tails)
         monkeypatch.setattr(abelian, "_WALK_ENTRIES", 7 * 25)
@@ -713,7 +714,7 @@ class TestExtensionWalk:
         assert whole.any() and not whole.all()
 
     def test_edge_cases(self):
-        reducer = automorphism_group(Z2Z4).reducer
+        reducer = affine_reducer(Z2Z4)
         tails = [[0, 1], [0, 5], [1, 2], [2, 6]]
         assert reducer.canonical_extensions([], tails).tolist() == [
             reducer.is_canonical(t) if t[0] == 0 else False for t in tails
@@ -722,5 +723,5 @@ class TestExtensionWalk:
         assert reducer.canonical_extensions([2], [[3, 4]]).tolist() == [False]
         assert reducer.canonical_extensions([0, 1], np.empty((0, 2), dtype=int)).tolist() == []
         assert reducer.canonical_extensions([0], [[1], [2]]).tolist() == (
-            reducer.canonical_children([0], [1, 2]).tolist()
+            reducer.canonical_extensions([0], [1, 2]).tolist()
         )

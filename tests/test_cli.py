@@ -348,6 +348,39 @@ class TestSearch:
         assert _parse_budget("1^100000000") == 1
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is exit 2 and one error line
+    naming it, never a traceback (exit 1 is reserved for a failed check)."""
+
+    def _refused(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+        return err[0]
+
+    def test_certificate_in_missing_directory(self, theorem21_path, tmp_path, capsys):
+        path = tmp_path / "missing" / "c.json"
+        self._refused(capsys, ["verify", str(theorem21_path), "--emit-certificate", str(path)], path)
+        assert not path.parent.exists()
+
+    def test_checkpoint_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        # the first checkpoint write fails, before any task runs
+        from fdual import search
+
+        monkeypatch.setattr(search, "_run_task", None)
+        path = tmp_path / "missing" / "ck.json"
+        argv = ["search", "--group", "4", "--size", "2", "--checkpoint", str(path),
+                "--out", str(tmp_path / "out")]
+        assert self._refused(capsys, argv, path).startswith(f"error: cannot write checkpoint {path}")
+        assert not path.parent.exists()
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        self._refused(capsys, ["search", "--group", "4", "--size", "2", "--out", str(path)], path)
+        assert path.read_text() == "kept\n"
+
+
 class TestParserReuse:
     def test_repeated_calls_match_fresh_parsers(self, theorem21_path, tmp_path, capsys):
         # main builds its parser once; calls in one process, including ones

@@ -45,8 +45,8 @@ def _random_set(rng, spec, size):
 
 
 def _random_pairing(rng, spec):
-    group = automorphism_group(spec)
-    return pairing_from_automorphism(standard_pairing(spec), group.tables[rng.randrange(len(group))])
+    tables = automorphism_group(spec)
+    return pairing_from_automorphism(standard_pairing(spec), tables[rng.randrange(len(tables))])
 
 
 class TestWeightEnumerator:

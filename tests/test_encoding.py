@@ -70,10 +70,10 @@ def test_exponents_match_bilinear_form():
     rng = random.Random(43)
     for orders in abelian_group_orders(16) + [(8, 8), (2, 2, 4, 4)]:
         spec = GroupSpec(orders)
-        group = automorphism_group(spec)
+        tables = automorphism_group(spec)
         everything = range(spec.order)
-        for a in rng.sample(range(len(group)), min(2, len(group))):
-            pairing = pairing_from_automorphism(standard_pairing(spec), group.tables[a])
+        for a in rng.sample(range(len(tables)), min(2, len(tables))):
+            pairing = pairing_from_automorphism(standard_pairing(spec), tables[a])
             table = pairing.exponents(everything, everything)
             assert table.tolist() == exponent_table_oracle(pairing), (orders, a)
             xs = rng.sample(everything, min(3, spec.order))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fdual.abelian import AffineReducer, GroupSpec, automorphism_group
+from fdual.abelian import AffineReducer, GroupSpec, affine_reducer, automorphism_group
 
 from oracles import burnside_orbit_counts, orderly_orbit_counts
 
@@ -27,7 +27,7 @@ from oracles import burnside_orbit_counts, orderly_orbit_counts
 def test_orderly_walk_counts_orbits(orders, expected):
     counts = burnside_orbit_counts(orders, 8)
     assert counts == expected
-    assert orderly_orbit_counts(automorphism_group(GroupSpec(orders)).reducer, 8) == counts
+    assert orderly_orbit_counts(affine_reducer(GroupSpec(orders)), 8) == counts
 
 
 class _DropsOneOrbit(AffineReducer):
@@ -35,8 +35,8 @@ class _DropsOneOrbit(AffineReducer):
 
     dropped = False
 
-    def canonical_children(self, node, cands):
-        keep = super().canonical_children(node, cands)
+    def canonical_extensions(self, node, tails):
+        keep = super().canonical_extensions(node, tails)
         if len(node) == 3 and keep.any() and not self.dropped:
             self.dropped = True
             keep[np.flatnonzero(keep)[0]] = False

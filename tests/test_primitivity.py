@@ -80,12 +80,12 @@ class TestInvariances:
         rng = random.Random(311)
         for orders in [(8,), (2, 4), (2, 2, 2), (12,), (16,), (2, 8)]:
             spec = GroupSpec(orders)
-            auts = automorphism_group(spec)
+            tables = automorphism_group(spec)
             for _ in range(25):
                 size = rng.randint(1, min(6, spec.order))
                 s = ElementSet.from_indices(rng.sample(range(spec.order), size))
                 base = is_primitive(spec, s).primitive
-                alpha = auts.tables[rng.randrange(len(auts))]
+                alpha = tables[rng.randrange(len(tables))]
                 v = rng.randrange(spec.order)
                 image = translate(spec, map_set(alpha, s), v)
                 assert is_primitive(spec, image).primitive == base

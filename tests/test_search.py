@@ -20,6 +20,7 @@ from fdual.abelian import (
     _aut_tables,
     GroupSpec,
     affine_canonical_form,
+    affine_reducer,
     aut_order,
     automorphism_group,
     standard_pairing,
@@ -70,8 +71,7 @@ def _worker_dying_on_doomed_task(config, task):
 
 
 def _classes(spec, certs):
-    auts = automorphism_group(spec)
-    return {affine_canonical_form(spec, c.s, auts).indices for c in certs}
+    return {affine_canonical_form(spec, c.s).indices for c in certs}
 
 
 def _assert_stats_sane(stats: SearchStats):
@@ -138,7 +138,7 @@ class TestTaskEnumeration:
         cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
         tasks = enumerate_tasks(cfg)
         assert tasks == sorted(tasks)
-        reducer = automorphism_group(Z2Z8).reducer
+        reducer = affine_reducer(Z2Z8)
         for t in tasks:
             assert t[0] == 0 and reducer.is_canonical(t)
 
@@ -150,10 +150,9 @@ class TestTaskEnumeration:
             cfg = SearchConfig(spec=spec, target_size=size, mode="pair",
                                symmetry="affine", frontier_depth=min(2, size - 1))
             tasks = set(enumerate_tasks(cfg))
-            auts = automorphism_group(spec)
             seen = set()
             for combo in itertools.combinations(range(spec.order), size):
-                canon = affine_canonical_form(spec, ElementSet.from_indices(combo), auts).indices
+                canon = affine_canonical_form(spec, ElementSet.from_indices(combo)).indices
                 if canon in seen:
                     continue
                 seen.add(canon)
@@ -164,7 +163,7 @@ class TestScreenPartial:
     """A partial node survives the affine screen iff it is its orbit minimum."""
 
     def test_affine_orbit_minimum(self):
-        reducer = automorphism_group(Z4).reducer
+        reducer = affine_reducer(Z4)
         assert not reducer.is_canonical((0, 3))  # orbit minimum is {0,1}
         assert reducer.is_canonical((0, 1))
 
@@ -207,19 +206,18 @@ class TestLeafTests:
         # the shipped order-64 set must be recognized as self-dual by the
         # pairing sweep, and the search subtree seeded at its canonical
         # prefix must hit its orbit class
-        auts = automorphism_group(order64_spec)
-        assert auts.complete
+        assert affine_reducer(order64_spec).complete
         cert = self_dual_leaf_test(order64_spec, order64_set)
         assert cert is not None
         assert cert.s_primitive and cert.t_primitive
         assert verify_certificate(cert)[0]
 
-        canon = affine_canonical_form(order64_spec, order64_set, auts).indices
+        canon = affine_canonical_form(order64_spec, order64_set).indices
         cfg = SearchConfig(spec=order64_spec, target_size=8, mode="self_dual",
                            symmetry="affine", frontier_depth=2)
         stats, hits, finished = _run_task(cfg, canon[:6], None)
         assert finished
-        assert canon in {affine_canonical_form(order64_spec, c.s, auts).indices for c in hits}
+        assert canon in {affine_canonical_form(order64_spec, c.s).indices for c in hits}
 
 
 def _without_timestamp(cert):
@@ -256,7 +254,7 @@ class TestSelfDualLeafAgainstGather:
         # gather over every finished table keeps, in the same order
         e = np.array(exact_spectrum(spec, standard_pairing(spec), s), dtype=np.int64)
         target = len(s) * np.array(weight_enumerator(spec, s), dtype=np.int64)
-        tables = automorphism_group(spec).tables
+        tables = automorphism_group(spec)
         expected = tables[(e[tables] == target).all(axis=1)]
         blocks = list(_aut_tables(spec, match=(e, target)))
         got = np.concatenate(blocks) if blocks else np.empty((0, spec.order), dtype=np.uint8)
@@ -343,7 +341,7 @@ class TestSelfDualLeafAgainstGather:
             "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "base = peak_kb()\n"
             "spec = GroupSpec((4, 4, 16))\n"
-            "tables = automorphism_group(spec).tables\n"
+            "tables = automorphism_group(spec)\n"
             "search._context(spec)\n"
             "print(base, peak_kb(), tables.nbytes)\n"
         )
@@ -363,7 +361,7 @@ class TestPaperResults:
         cfg = SearchConfig(spec=order64_spec, target_size=8, mode="self_dual", symmetry="affine")
         result = run_search(cfg)
         assert result.complete and not result.caveats
-        canon = automorphism_group(order64_spec).reducer.canonical_form(order64_set.indices)
+        canon = affine_reducer(order64_spec).canonical_form(order64_set.indices)
         assert canon == (0, 1, 2, 4, 9, 16, 32, 62)
         assert canon in {c.s.indices for c in result.certificates}
         for cert in result.certificates:
@@ -456,12 +454,11 @@ class TestCompletenessUpToOrder16:
                            symmetry="affine", frontier_depth=min(2, size - 1))
         result = run_search(cfg)
         assert result.complete
-        auts = automorphism_group(spec)
         oracle = set()
         for rest in itertools.combinations(range(1, spec.order), size - 1):
             s = ElementSet.from_indices((0,) + rest)
             if self_dual_leaf_test(spec, s) is not None:
-                oracle.add(affine_canonical_form(spec, s, auts).indices)
+                oracle.add(affine_canonical_form(spec, s).indices)
         assert _classes(spec, result.certificates) == oracle, orders
 
 
@@ -629,7 +626,7 @@ class TestSoundness:
             cfg = SearchConfig(spec=spec, target_size=size, mode=mode,
                                symmetry="affine", frontier_depth=min(2, size - 1))
             result = run_search(cfg)
-            reducer = automorphism_group(spec).reducer
+            reducer = affine_reducer(spec)
             assert result.certificates
             assert [c.sort_key() for c in result.certificates] == sorted(
                 c.sort_key() for c in result.certificates)
@@ -641,6 +638,22 @@ class TestSoundness:
                 assert cert.s_primitive and cert.t_primitive
                 report = check_pair(cert.spec, cert.pairing, cert.s, cert.partner)
                 assert report.holds
+
+    @pytest.mark.parametrize("orders,symmetry,capped", [
+        ((2,) * 5, "affine", True),  # |Aut(Z2^5)| = 9,999,360 is above the cap
+        ((2,) * 5, "translation", False),  # no automorphism is used
+        ((2,) * 4, "affine", False),  # |Aut(Z2^4)| = 20,160 is enumerated in full
+    ], ids=["Z2^5-affine", "Z2^5-translation", "Z2^4-affine"])
+    def test_capped_group_caveat(self, orders, symmetry, capped):
+        # a capped Aut(G) leaves the affine search complete but may report
+        # one orbit as several, and the result says so
+        result = run_search(SearchConfig(spec=GroupSpec(orders), target_size=4, mode="pair",
+                                         symmetry=symmetry))
+        assert result.complete
+        assert result.caveats == (
+            ["automorphism enumeration was capped: equivalent orbits may be reported separately"]
+            if capped else []
+        )
 
 
 class TestBudget:
@@ -932,6 +945,53 @@ class TestCheckpointing:
                                           checkpoint_path=path))
         assert resumed.complete and resumed.stats.hits == len(clean.certificates)
         assert [c.to_dict() for c in resumed.certificates] == [c.to_dict() for c in clean.certificates]
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("nodes_visited", "7", "stats counters must be integers"),
+        ("hits", 2.9, "stats counters must be integers"),
+        ("hits", True, "stats counters must be integers"),
+        ("leaves_tested", 3.0, "stats counters must be integers"),
+        ("completed", [0, 1.5], "completed tasks must be lists of integers"),
+        ("completed", [0, "2"], "completed tasks must be lists of integers"),
+        ("completed", [0, True], "completed tasks must be lists of integers"),
+        ("completed", [0, 99], "completed [0, 99], which is no task of this search"),
+        ("completed", [0, 3], "completed [0, 3], which is no task of this search"),
+        ("completed", [0], "completed [0], which is no task of this search"),
+        ("hits", 2, "counts 2 hits but holds 0"),
+    ], ids=["nodes-str", "hits-float", "hits-bool", "leaves-float", "task-float", "task-str",
+            "task-bool", "task-outside-group", "task-not-canonical", "task-too-short",
+            "hits-miscounted"])
+    def test_loose_checkpoint_refused_before_any_task(
+        self, tmp_path, monkeypatch, capsys, field, value, message
+    ):
+        # one bad field of an otherwise valid Z8 size-4 pair checkpoint (its
+        # tasks are (0, 1), (0, 2) and (0, 4)) is refused at load time, by
+        # the library and by the CLI with exit 2, and the file stays as it was
+        base = dict(spec=GroupSpec((8,)), target_size=4, mode="pair")
+        cfg = SearchConfig(**base)
+        assert enumerate_tasks(cfg) == [(0, 1), (0, 2), (0, 4)]
+        path = tmp_path / "ck.json"
+        checkpoint_save(str(path), CheckpointRecord(
+            config_hash=cfg.config_hash(), completed=[(0, 1)], stats=SearchStats(nodes_visited=7),
+            hits=[]))
+        data = json.loads(path.read_text())
+        if field == "completed":
+            data["completed"].append(value)
+        else:
+            data["stats"][field] = value
+        path.write_text(json.dumps(data))
+        before = path.read_bytes()
+        monkeypatch.setattr(search, "_run_task", None)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            checkpoint_resume(str(path), cfg)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            run_search(SearchConfig(**base, checkpoint_path=str(path)))
+        argv = ["search", "--group", "8", "--size", "4", "--checkpoint", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert path.read_bytes() == before
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
         path = tmp_path / "ck.json"

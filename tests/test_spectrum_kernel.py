@@ -41,8 +41,8 @@ def _kernel_rows(spec, pairing, s):
 
 
 def _random_pairing(rng, spec):
-    group = automorphism_group(spec)
-    return pairing_from_automorphism(standard_pairing(spec), group.tables[rng.randrange(len(group))])
+    tables = automorphism_group(spec)
+    return pairing_from_automorphism(standard_pairing(spec), tables[rng.randrange(len(tables))])
 
 
 def _support_width(spec, s):
