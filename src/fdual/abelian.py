@@ -558,14 +558,15 @@ class AffineReducer:
     the least S_L-orbit minimum among the unmatched elements of the rows;
     only the rows attaining it go on, each mapped by one element of S_L that
     puts it in place.  Once S_L is the identity alone, the rows are the
-    images themselves and are compared as sorted lists.  Levels are built
-    on first use and cached by prefix, which the depth-first search shares
-    between neighbouring nodes.
+    images themselves and are compared as sets.  Levels are built on first
+    use and cached by prefix, which the depth-first search shares between
+    neighbouring nodes.
 
-    ``canonical_extensions`` tests the one- or two-element extensions of a
-    node in a single walk: their prefixes are the node's except for the
-    last level of a two-element tail, so the rows of all of them go down
-    together; ``is_canonical`` is that walk with one child.
+    ``canonical_extensions`` tests the one- to three-element extensions of
+    a node in a single walk: their prefixes are the node's except for the
+    levels fixing the tail's first elements, which each row takes from a
+    stack, so the rows of all of them go down together; ``is_canonical``
+    is that walk with one child.
     ``canonical_form`` takes the same chain, choosing the minimum at each
     level.
 
@@ -586,6 +587,9 @@ class AffineReducer:
         self.tables = tables
         self._flat = tables.ravel()
         self._sub = _sub_table(spec)
+        e = np.arange(spec.order)
+        self._bits = np.zeros((-(-spec.order // 64), spec.order), dtype=np.uint64)
+        self._bits[e // 64, e] = np.uint64(1) << (63 - e % 64).astype(np.uint64)
         self._root = self._make_level(np.arange(len(tables)), tables, ())
         self._levels: dict[tuple[int, ...], _ChainLevel] = {}
 
@@ -641,15 +645,17 @@ class AffineReducer:
         return level
 
     def _advance(
-        self, level: _ChainLevel, rows: np.ndarray, om: np.ndarray, target: int | np.ndarray
+        self, rho: np.ndarray, rows: np.ndarray, hits: np.ndarray, which: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows whose next element can be ``target``, mapped so that it is,
-        and the index of the row each came from.  ``target`` is one value or
-        a column with one value per row."""
-        hit = np.flatnonzero(om == target)
-        src = hit // rows.shape[1]
-        kept = rows.take(src, axis=0)
-        return self._flat[level.rho[rows.ravel()[hit]][:, None] + kept], src
+        """One row per element of ``rows`` marked in ``hits``, mapped so that
+        the element goes to its orbit minimum, and the index of the row each
+        came from.  Rows are the columns of ``rows``; ``rho`` is one level's,
+        or a stack of levels' with ``which`` naming each row's."""
+        hit = np.flatnonzero(hits)
+        src = hit % rows.shape[1]
+        g = rows.take(hit)
+        start = rho[g] if which is None else rho[which[src], g]
+        return self._flat[rows.take(src, axis=1) + start].astype(np.intp), src
 
     def is_canonical(self, indices: Sequence[int]) -> bool:
         """True iff the sorted index list is its own canonical form."""
@@ -658,19 +664,22 @@ class AffineReducer:
 
     def canonical_extensions(self, node: Sequence[int], tails) -> np.ndarray:
         """Boolean array equal to ``[is_canonical(node + list(t)) for t in tails]``
-        for a (k, w) array of increasing tails above the node, w = 1 or 2 (a
-        1-D array is read as k tails of width 1).
+        for a (k, w) array of increasing tails above the node, w = 1, 2 or 3
+        (a 1-D array is read as k tails of width 1).
 
         Hot path of the search pruning.  The extensions share the chain
         levels of the node's prefix, so the walk goes down once with the
-        translate rows of every extension stacked and ``ext`` naming the
-        extension of each row.  At each level an extension drops out when
-        one of its rows can take a smaller next element than its own; the
-        rows of the others that attain it go on.  A tail (x, a) meets one
-        more level, the one fixing node[1:] + (x,): it differs per x only,
-        so its ``om`` arrays are stacked, one per x, and gathered per row.
-        At an identity level above the last position each extension's rows
-        are compared with it as sorted lists.
+        translate rows of every extension stacked, as the columns of one
+        (size, rows) array so that each pass over a row's elements is one
+        vector operation, and ``ext`` naming the extension of each row.  At
+        each level an extension drops out when one of its rows can take a
+        smaller next element than its own; the rows of the others that
+        attain it go on.  Below the node's prefix the level fixes node[1:]
+        plus the first one or two tail elements, so it differs per row: the
+        levels of the distinct (x,) or (x, a) are stacked (``_tail_levels``)
+        and each row reads its own.  At an identity level of the node's
+        prefix each extension's rows are compared with it as sets
+        (``_smaller``).
         """
         node = list(map(int, node))
         tails = np.asarray(tails, dtype=np.intp)
@@ -679,7 +688,7 @@ class AffineReducer:
         k, w = tails.shape
         if not node:
             out = tails[:, 0] == 0
-            if w == 2:
+            if w > 1:
                 out[out] = self.canonical_extensions([0], tails[out, 1:])
             return out
         out = np.zeros(k, dtype=bool)
@@ -692,63 +701,79 @@ class AffineReducer:
                 self.canonical_extensions(node, tails[lo : lo + block])
                 for lo in range(0, k, block)
             ])
-        full = np.empty((k, size), dtype=np.intp)
-        full[:, :d] = node
-        full[:, d:] = tails
-        rows = self._sub[full[:, :, None], full[:, None, :]].reshape(-1, size)
+        full = np.empty((size, k), dtype=np.intp)
+        full[:d] = np.array(node)[:, None]
+        full[d:] = tails.T
+        # column e * size + i holds extension e minus its i-th element
+        rows = self._sub[full.T[None], full[:, :, None]].reshape(size, -1).astype(np.intp)
         ext = np.repeat(np.arange(k), size)
         for depth in range(1, size):
             if depth <= d:
                 level = self._level(tuple(node[1:depth]))
                 if level.om is None:
-                    images = np.sort(rows, axis=1)
-                    ref = full[ext]
-                    first = (images != ref).argmax(axis=1)
-                    smaller = (images < ref)[np.arange(len(ext)), first]
                     out[ext] = True
-                    out[ext[smaller]] = False
+                    out[ext[self._smaller(rows, full, ext)]] = False
                     return out
-                om = level.om[rows]
+                om, rho, which = level.om.take(rows), level.rho, None
             else:
-                om = self._last_minima(tuple(node[1:]), tails[ext, 0], rows)
-            target = full[ext, depth][:, None]
-            low = om.min(axis=1) < target[:, 0]
-            if low.any():
-                dead = np.zeros(k, dtype=bool)
-                dead[ext[low]] = True
-                keep = ~dead[ext]
-                rows, om, target, ext = rows[keep], om[keep], target[keep], ext[keep]
-                if not len(ext):
-                    return out
+                heads = tails[ext, : depth - d]
+                which, stack, rho = self._tail_levels(tuple(node[1:]), heads, depth < size - 1)
+                om = stack[which, rows]
+            target = full[depth, ext]
+            dead = np.zeros(k, dtype=bool)
+            dead[ext[om.min(axis=0) < target]] = True
             if depth < size - 1:
-                rows, src = self._advance(level, rows, om, target)
+                rows, src = self._advance(rho, rows, (om == target) & ~dead[ext], which)
                 ext = ext[src]
         out[ext] = True
+        out[dead] = False
         return out
 
-    def _last_minima(self, prefix: tuple[int, ...], xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``om`` of each row under the level fixing prefix + (x,), one x per
-        row, for the last position.  Where that level is the identity, the
-        one element left unmatched is its own orbit minimum."""
+    def _tail_levels(
+        self, prefix: tuple[int, ...], heads: np.ndarray, advance: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The levels fixing prefix + head for the rows' heads (a (rows, j)
+        array), stacked over the distinct heads: each row's index into the
+        stack, the stacked ``om`` and, when the walk advances, ``rho``.  An
+        identity level has ``om`` = arange with 0, the prefix and the head
+        masked, and ``rho`` = the identity row."""
         n = self.spec.order
-        present = np.zeros(n, dtype=bool)
-        present[xs] = True
-        distinct = np.flatnonzero(present).tolist()
-        stack = np.empty((len(distinct), n), dtype=np.int16)
-        for i, x in enumerate(distinct):
-            om = self._level(prefix + (x,)).om
-            if om is None:
-                om = np.arange(n)
-                om[[0, *prefix, x]] = n
-            stack[i] = om
-        which = np.empty(n, dtype=np.intp)
-        which[distinct] = np.arange(len(distinct))
-        return stack[which[xs][:, None], rows]
+        code = np.ravel_multi_index(tuple(heads.T), (n,) * heads.shape[1])
+        _, first, which = np.unique(code, return_index=True, return_inverse=True)
+        distinct = heads[first]
+        om = np.tile(np.arange(n, dtype=np.int16), (len(distinct), 1))
+        om[:, [0, *prefix]] = n
+        rho = np.empty((len(distinct), n), dtype=np.intp) if advance else None
+        for i, head in enumerate(distinct.tolist()):
+            level = self._level(prefix + tuple(head))
+            if level.om is not None:
+                om[i] = level.om
+            if advance:
+                rho[i] = level.auts[0] * n if level.om is None else level.rho
+        om[np.arange(len(distinct))[:, None], distinct] = n
+        return which, om, rho
+
+    def _smaller(self, rows: np.ndarray, sets: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        """Which columns of ``rows``, read as sets, are lexicographically
+        smaller than the columns ``ext`` of ``sets``, as sorted lists.
+
+        Both have the same size, so the smallest element of their symmetric
+        difference decides: the set holding it is the smaller.  A set is a
+        bitset of W = ceil(|G| / 64) words, element e being bit 63 - e % 64
+        of word e // 64, so the smaller set has the larger word at the first
+        word where the two differ.  The elements of a set are distinct, so
+        summing their bits sets them.
+        """
+        smaller = np.zeros(len(ext), dtype=bool)
+        for word in self._bits[::-1]:
+            mine, theirs = word.take(rows).sum(axis=0), word.take(sets).sum(axis=0)[ext]
+            smaller = (mine > theirs) | ((mine == theirs) & smaller)
+        return smaller
 
     def canonical_form(self, indices: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic orbit minimum; one walk, since the orbit is a group orbit."""
         s = np.array(sorted(set(map(int, indices))))
-        rows = self._sub[s[:, None], s]
+        rows = self._sub[s[None, :], s[:, None]].astype(np.intp)
         prefix: tuple[int, ...] = ()
         for _ in range(1, len(s)):
             level = self._level(prefix)
@@ -756,9 +781,9 @@ class AffineReducer:
                 break
             om = level.om[rows]
             target = int(om.min())
-            rows, _ = self._advance(level, rows, om, target)
+            rows, _ = self._advance(level.rho, rows, om == target)
             prefix += (target,)
-        return tuple(min(np.sort(rows, axis=1).tolist()))
+        return tuple(min(np.sort(rows, axis=0).T.tolist()))
 
 
 @lru_cache(maxsize=None)

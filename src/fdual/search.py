@@ -15,19 +15,20 @@ theorem about the canonical form, not a hope, and is additionally tested
 against no-symmetry brute force on small groups.  The minimality test walks
 a chain of point stabilizers of Aut(G) along the node's own prefix (see
 :class:`fdual.abelian.AffineReducer`) rather than scanning every
-automorphism, and one walk tests all children, or all grandchildren, of a
-node.  When |Aut(G)| is above the cap, the orbit is the translation orbit
-alone: still complete, but equivalent orbits may be reported separately,
-and the run says so in its caveats.
+automorphism, and one walk tests all children, grandchildren or
+great-grandchildren of a node.  When |Aut(G)| is above the cap, the orbit
+is the translation orbit alone: still complete, but equivalent orbits may
+be reported separately, and the run says so in its caveats.
 
-Below a node of depth size - 3 the last three levels are one batch: one
+Below a node of depth size - 4 the last four levels are one batch: one
 walk gates its children, one more the grandchildren of the canonical ones,
-and one cut of the nodes' costs in DFS order at the budget gives every
-count, so no loop runs per node there.  Leaves wait in a buffer for the
-whole task and are float-screened in chunks (prune only when the exact
-identity certainly fails): first on one character per Galois orbit
-t -> u*t, then on every character for the survivors, which gives the
-verdicts of the full screen bit for bit.  Survivors are canonically gated,
+one more the great-grandchildren of the canonical grandchildren, and one
+cut of the nodes' costs in DFS order at the budget gives every count, so no
+loop runs per node there.  Leaves wait in a buffer for the whole task and
+are float-screened in chunks (prune only when the exact identity certainly
+fails): first on one character per Galois orbit t -> u*t, then on every
+character for the survivors, which gives the verdicts of the full screen
+bit for bit.  Survivors are canonically gated,
 then handed to the exact leaf test.  Every emitted certificate has passed
 the exact integer check and primitivity for both sets.
 
@@ -371,7 +372,7 @@ def _canonical_mask(
     config: SearchConfig, ctx: _SearchContext, node: list[int], tails
 ) -> np.ndarray:
     """Which extensions node + tail survive symmetry pruning; ``tails`` holds
-    children (1-D) or grandchild tails (k, 2)."""
+    children (1-D) or (k, w) tails of w <= 3 elements."""
     if config.symmetry != "affine":
         return np.ones(len(tails), dtype=bool)
     return ctx.reducer.canonical_extensions(node, tails)
@@ -533,6 +534,11 @@ def _cut(costs: np.ndarray, budget: _Budget | None) -> tuple[np.ndarray, bool]:
     return allowed, bool((allowed == costs).all())
 
 
+# a batch walks its inner nodes in blocks of consecutive DFS order whose
+# node arrays hold about _BATCH_ENTRIES entries (up to a row's children more)
+_BATCH_ENTRIES = 1 << 17
+
+
 def _batch(
     config: SearchConfig,
     ctx: _SearchContext,
@@ -541,47 +547,59 @@ def _batch(
     stats: SearchStats,
     budget: _Budget | None,
     leaves: _Leaves,
+    rows: np.ndarray | None = None,
+    depth: np.ndarray | None = None,
+    ok: np.ndarray | None = None,
+    level: int = 1,
 ) -> bool:
-    """The last size - depth <= 3 levels below a node as one batch; returns
-    False when the budget ran out.
+    """The last size - len(node) <= 4 levels below a node as one batch;
+    returns False when the budget ran out.
 
-    The inner nodes below it are its children x and, three levels from the
-    end, the grandchildren (x, a) of the canonical x, in DFS order.  One
-    canonicity walk gates each level; the grandchildren walked are those
-    whose position (counting one unit per node before it) is below the
-    budget, which is all any cut can reach.  A node costs one unit, plus
-    one per leaf below it when it is canonical and at depth size - 1.  One
-    cut of those costs at the budget gives every count, and the leaves it
-    allows go to the task's buffer as one run per parent.
+    Row i of ``rows`` is node[-1] and then the elements of the inner node
+    node + rows[i, 1 : depth[i] + 1] below the node, padded with its last
+    element, and ``ok`` says whether it is canonical; row 0 is the node
+    itself.  Each level inserts the children of the
+    canonical rows of the level above after them, in DFS order, and one
+    canonicity walk gates them: only those whose position (counting one
+    unit per inner node before it) is below the budget, which is all any
+    cut can reach.  A node costs one unit, plus one per leaf below it when
+    it is canonical and at depth size - 1.  One cut of those costs at the
+    budget gives every count, and the leaves it allows go to the task's
+    buffer as one run per parent.  A level that would outgrow
+    ``_BATCH_ENTRIES`` is walked, with the levels below it, in consecutive
+    blocks of the rows above it, each cut in turn.
     """
-    n = ctx.n
-    levels = config.target_size - len(node)
-    first = node[-1] + 1
-    if levels == 1:
-        allowed, finished = _cut(np.array([n - first]), budget)
-        stats.nodes_visited += int(allowed[0])
-        leaves.add(node, char_partial, np.empty((1, 0), dtype=np.intp), np.array([first]), allowed)
-        return finished
-    xs, ok = _children(config, ctx, node)
-    if levels == 2:
-        prefix, parents = xs[:, None], ok
-    else:
-        # each x, then its grandchildren (x, x + 1), ... when x is canonical
-        per = np.where(ok, n - 2 - xs, 0) + 1
-        child = np.repeat(np.arange(len(xs)), per)
-        offset = np.arange(len(child)) - np.repeat(np.cumsum(per) - per, per)
-        prefix = np.column_stack((xs[child], xs[child] + offset))
-        grand = offset > 0
-        walk = grand if budget is None else grand & (np.arange(len(child)) < budget.remaining)
-        ok = ok[child] & ~grand
-        ok[walk] = _canonical_mask(config, ctx, node, prefix[walk])
-        parents = ok & grand
-    costs = np.where(parents, n - prefix[:, -1], 1)
-    allowed, finished = _cut(costs, budget)
+    n, levels = ctx.n, config.target_size - len(node)
+    if rows is None:
+        rows, depth, ok = np.full((1, levels), node[-1]), np.zeros(1, int), np.ones(1, bool)
+    for level in range(level, levels):
+        # a row at depth level - 1 with last element a has the children
+        # a + 1, ..., n - 1 - (levels - level), leaving room for the rest
+        per = np.where(ok & (depth == level - 1), n - levels + level - 1 - rows[:, -1], 0) + 1
+        start = np.cumsum(per) - per
+        cuts = np.flatnonzero(np.diff(start // max(1, _BATCH_ENTRIES // levels))) + 1
+        if len(cuts):
+            for part in zip(np.split(rows, cuts), np.split(depth, cuts), np.split(ok, cuts)):
+                if not _batch(config, ctx, node, char_partial, stats, budget, leaves, *part, level):
+                    return False
+            return True
+        parent = np.repeat(np.arange(len(per)), per)
+        offset = np.arange(len(parent)) - start[parent]
+        rows, depth, ok = rows[parent], depth[parent], ok[parent]
+        rows[:, level:] += offset[:, None]
+        new = offset > 0
+        depth[new] = level
+        walk = new if budget is None else new & (np.cumsum(depth > 0) <= budget.remaining)
+        ok[new] = False
+        ok[walk] = _canonical_mask(config, ctx, node, rows[walk, 1 : level + 1])
+    parents = ok & (depth == levels - 1)
+    inner = (depth > 0).astype(np.intp)
+    allowed, finished = _cut(inner + np.where(parents, n - 1 - rows[:, -1], 0), budget)
     stats.nodes_visited += int(allowed.sum())
     stats.pruned_by_symmetry += int(np.count_nonzero((allowed > 0) & ~ok))
-    leafy = parents & (allowed > 1)
-    leaves.add(node, char_partial, prefix[leafy], prefix[leafy, -1] + 1, allowed[leafy] - 1)
+    leafy = parents & (allowed > inner)
+    count = allowed[leafy] - inner[leafy]
+    leaves.add(node, char_partial, rows[leafy, 1:], rows[leafy, -1] + 1, count)
     return finished
 
 
@@ -596,12 +614,12 @@ def _descend(
 ) -> bool:
     """Depth-first walk below a node; returns False when the budget ran out.
 
-    Above depth size - 3 a node gates its children with one canonicity
+    Above depth size - 4 a node gates its children with one canonicity
     walk, and a loop over them does the budget and the counting and
-    recurses into the canonical ones.  From depth size - 3 on, the levels
+    recurses into the canonical ones.  From depth size - 4 on, the levels
     left are one batch (``_batch``) with no per-element loop.
     """
-    if len(node) >= config.target_size - 3:
+    if len(node) >= config.target_size - 4:
         return _batch(config, ctx, node, char_partial, stats, budget, leaves)
     xs, ok = _children(config, ctx, node)
     for x, keep in zip(xs.tolist(), ok.tolist()):

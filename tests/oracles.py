@@ -593,16 +593,16 @@ def chain_is_canonical(reducer, indices):
     if node[0] != 0:
         return False
     x = np.array(node)
-    rows = reducer._sub[x[:, None], x]
+    rows = reducer._sub[x[None, :], x[:, None]].astype(np.intp)
     for depth in range(1, len(node)):
         level = reducer._level(tuple(node[1:depth]))
         if level.om is None:
-            return min(np.sort(rows, axis=1).tolist()) >= node
+            return min(np.sort(rows, axis=0).T.tolist()) >= node
         om = level.om[rows]
         target = node[depth]
         if om.min() < target:
             return False
-        rows, _ = reducer._advance(level, rows, om, target)
+        rows, _ = reducer._advance(level.rho, rows, om == target)
     return True
 
 

@@ -574,9 +574,10 @@ class TestStabilizerChain:
 
     @pytest.mark.parametrize("orders,samples", [((2, 128), 30), ((4, 4, 16), 2)])
     def test_order256_walks_match_scan(self, orders, samples):
-        # |G| = 256, so the om sentinel n does not fit the uint8 tables:
-        # canonical_form, and sampled canonical and non-canonical children
-        # and width-2 extensions of a canonical node, against the scan
+        # |G| = 256, so the om sentinel n does not fit the uint8 tables and
+        # a set is a bitset of 4 words: canonical_form, and sampled canonical
+        # and non-canonical children, width-2 extensions and 20,000 random
+        # width-3 extensions of a canonical node, against the scan
         spec = GroupSpec(orders)
         tables = automorphism_group(spec)
         reducer = affine_reducer(spec)
@@ -585,13 +586,12 @@ class TestStabilizerChain:
         node = (0, *sorted(rng.sample(range(1, 192), 3)))
         canon = reducer.canonical_form(node)
         assert canon == scan_canonical_form(orders, tables, node)
-        cands = np.arange(canon[-1] + 1, spec.order)
-        tails = _grandchild_tails(canon[-1] + 1, spec.order)
-        walks = [
-            (reducer.canonical_extensions(canon, cands).tolist(), cands[:, None]),
-            (reducer.canonical_extensions(canon, tails).tolist(), tails),
-        ]
-        for got, ext in walks:
+        first = canon[-1] + 1
+        triples = {tuple(sorted(rng.sample(range(first, spec.order), 3))) for _ in range(20000)}
+        walks = [_tails(first, spec.order, 1), _tails(first, spec.order, 2),
+                 np.array(sorted(triples))]
+        for ext in walks:
+            got = reducer.canonical_extensions(canon, ext).tolist()
             for kind in (True, False):
                 where = [i for i, v in enumerate(got) if v == kind]
                 assert where, (orders, kind)
@@ -635,43 +635,64 @@ class TestStabilizerChain:
         assert affine_reducer(Z2Z4).tables is automorphism_group(Z2Z4)
 
 
-def _grandchild_tails(first, stop):
-    return np.array([(x, a) for x in range(first, stop) for a in range(x + 1, stop)],
-                    dtype=np.intp).reshape(-1, 2)
+def _tails(first, stop, width=2):
+    """Every increasing tail of ``width`` elements in range(first, stop)."""
+    return np.array(list(itertools.combinations(range(first, stop), width)),
+                    dtype=np.intp).reshape(-1, width)
 
 
-def _children_per_x(reducer, node, first, stop):
-    """canonical_extensions(node + [x], range(x + 1, stop)) for every x, joined."""
-    out = []
-    for x in range(first, stop):
-        out += reducer.canonical_extensions([*node, x], range(x + 1, stop)).tolist()
-    return out
+def _walks_per_x(reducer, node, tails):
+    """canonical_extensions(node + [x], tails[:, 1:]) over the tails starting
+    with x, for every x, in the order of ``tails``."""
+    out = np.zeros(len(tails), dtype=bool)
+    for x in np.unique(tails[:, 0]).tolist():
+        mine = tails[:, 0] == x
+        out[mine] = reducer.canonical_extensions([*node, x], tails[mine, 1:])
+    return out.tolist()
 
 
 class TestExtensionWalk:
-    """The width-2 walk over grandchildren node + (x, a) against one
-    children walk per x, and against the scans."""
+    """The width-2 walk over grandchildren node + (x, a) and the width-3
+    walk over great-grandchildren node + (x, a, b) against one walk one
+    width narrower per x, and against the scans."""
 
     @pytest.mark.parametrize("orders", abelian_group_orders(16))
     def test_grandchildren_of_every_small_node(self, orders):
         # every 0-containing node of size <= 4, every (x, a) above it
+        self._check_every_small_node(orders, 2, 4)
+
+    @pytest.mark.parametrize("orders", abelian_group_orders(16))
+    def test_great_grandchildren_of_every_small_node(self, orders):
+        # every 0-containing node of size <= 3, every (x, a, b) above it
+        self._check_every_small_node(orders, 3, 3)
+
+    @staticmethod
+    def _check_every_small_node(orders, width, largest):
         spec = GroupSpec(orders)
         reducer = AffineReducer(spec, automorphism_group(spec))
         forms = _small_forms(orders)
         n = spec.order
-        for size in range(1, min(4, n - 2) + 1):
+        for size in range(1, min(largest, n - width) + 1):
             for node in forms[size]:
-                tails = _grandchild_tails(node[-1] + 1, n)
+                tails = _tails(node[-1] + 1, n, width)
                 got = reducer.canonical_extensions(node, tails)
                 assert got.dtype == bool
-                assert got.tolist() == _children_per_x(reducer, node, node[-1] + 1, n), (orders, node)
+                assert got.tolist() == _walks_per_x(reducer, node, tails), (orders, node)
                 assert got.tolist() == [
-                    forms[size + 2][(*node, x, a)] == (*node, x, a) for x, a in tails.tolist()
+                    forms[size + width][(*node, *t)] == (*node, *t) for t in tails.tolist()
                 ], (orders, node)
 
     @pytest.mark.parametrize("orders,count", [((8, 8), 6), ((2, 2, 4, 4), 4), ((40,), 8), ((32,), 8)])
     def test_grandchildren_of_sampled_nodes(self, orders, count):
-        # small nodes (whose per-x last levels mix identity and larger
+        self._check_sampled_nodes(orders, count, 2)
+
+    @pytest.mark.parametrize("orders,count", [((8, 8), 6), ((2, 2, 4, 4), 4), ((40,), 8), ((32,), 8)])
+    def test_great_grandchildren_of_sampled_nodes(self, orders, count):
+        self._check_sampled_nodes(orders, count, 3)
+
+    @staticmethod
+    def _check_sampled_nodes(orders, count, width):
+        # small nodes (whose per-x levels mix identity and larger
         # stabilizers) and random nodes of size 4-6, half of them canonical
         spec = GroupSpec(orders)
         reducer = affine_reducer(spec)
@@ -683,10 +704,9 @@ class TestExtensionWalk:
             nodes.append(reducer.canonical_form(node) if i % 2 == 0 else node)
         kinds = set()
         for node in nodes:
-            stop = n
-            tails = _grandchild_tails(node[-1] + 1, stop)
+            tails = _tails(node[-1] + 1, n, width)
             got = reducer.canonical_extensions(node, tails).tolist()
-            assert got == _children_per_x(reducer, node, node[-1] + 1, stop), (orders, node)
+            assert got == _walks_per_x(reducer, node, tails), (orders, node)
             for j in rng.sample(range(len(tails)), min(12, len(tails))):
                 assert got[j] == chain_is_canonical(reducer, (*node, *tails[j].tolist()))
             kinds.update(got)
@@ -699,19 +719,21 @@ class TestExtensionWalk:
         for size in range(1, 5):
             for rest in itertools.combinations(range(1, spec.order - 2), size - 1):
                 node = (0, *rest)
-                tails = _grandchild_tails(node[-1] + 1, spec.order)
+                tails = _tails(node[-1] + 1, spec.order)
                 assert reducer.canonical_extensions(node, tails).tolist() == [
                     scan_is_canonical(spec.orders, translations, (*node, x, a))
                     for x, a in tails.tolist()
                 ], node
 
     def test_blocks_of_extensions_agree_with_one_walk(self, monkeypatch):
+        # width-2 and width-3 tails in blocks of 2 and 1 extensions
         reducer = affine_reducer(GroupSpec((40,)))
-        tails = _grandchild_tails(6, 40)
-        whole = reducer.canonical_extensions([0, 1, 5], tails)
+        walks = [(tails, reducer.canonical_extensions([0, 1, 5], tails))
+                 for tails in (_tails(6, 40, 2), _tails(6, 40, 3))]
         monkeypatch.setattr(abelian, "_WALK_ENTRIES", 7 * 25)
-        assert reducer.canonical_extensions([0, 1, 5], tails).tolist() == whole.tolist()
-        assert whole.any() and not whole.all()
+        for tails, whole in walks:
+            assert reducer.canonical_extensions([0, 1, 5], tails).tolist() == whole.tolist()
+            assert whole.any() and not whole.all()
 
     def test_edge_cases(self):
         reducer = affine_reducer(Z2Z4)

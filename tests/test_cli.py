@@ -340,7 +340,7 @@ class TestSearch:
                      "--out", str(tmp_path / "r")]) == 2
         assert "budget" in capsys.readouterr().err
 
-    def test_budget_spellings(self):
+    def test_parse_budget_spellings(self):
         assert _parse_budget("10^6") == 10 ** 6
         assert _parse_budget("1e3") == 1000
         assert _parse_budget("10^18") == 10 ** 18

@@ -670,15 +670,15 @@ class TestBudget:
             SearchConfig(spec=Z4, target_size=2, mode="pair", budget=0)
 
 
-def _sweep_budgets(orders, size, mode, symmetry, depth=None):
-    """run_search against the node-by-node reference at every budget from 1
-    to one past the full run, and without a budget."""
+def _sweep_budgets(orders, size, mode, symmetry, depth=None, step=1):
+    """run_search against the node-by-node reference at every ``step``-th
+    budget from 1 to one past the full run, and without a budget."""
     base = dict(spec=GroupSpec(orders), target_size=size, mode=mode,
                 symmetry=symmetry, frontier_depth=depth)
     walk = reference_walk(SearchConfig(**base))
     full = reference_result(walk)
     assert full[1]
-    for budget in [None, *range(1, full[0]["nodes_visited"] + 2)]:
+    for budget in [None, *range(1, full[0]["nodes_visited"] + 2, step)]:
         result = run_search(SearchConfig(**base, budget=budget))
         stats = result.stats.to_dict()
         stats.pop("elapsed")
@@ -689,12 +689,13 @@ def _sweep_budgets(orders, size, mode, symmetry, depth=None):
 
 class TestBatchedWalk:
     """The batched walk (one canonicity walk per level below a node of depth
-    size - 3, one cut of the node costs at the budget, a task-wide two-stage
+    size - 4, one cut of the node costs at the budget, a task-wide two-stage
     float screen) against the search walked one node at a time: identical
     counts, stop points and hit lists at every budget.  Tasks start above
-    depth size - 3 (default depth with size 6), at it (size 4 with depth 1,
-    size 6 with depth 3), at size - 2 (size 4, default depth) and at
-    size - 1 (depth 3 with size 4)."""
+    depth size - 4 (size 6 with depth 1), at it (size 6, default depth), at
+    size - 3 (size 4 with depth 1, size 5 with the default depth, size 6
+    with depth 3), at size - 2 (size 4, default depth) and at size - 1
+    (depth 3 with size 4)."""
 
     @pytest.mark.parametrize("orders,size,mode,symmetry,depth", [
         ((16,), 4, "pair", "translation", None),
@@ -709,12 +710,58 @@ class TestBatchedWalk:
         ((12,), 6, "pair", "translation", 3),
         ((2, 6), 6, "pair", "affine", None),
         ((5, 5), 5, "self_dual", "affine", None),
+        ((2, 6), 6, "pair", "affine", 1),
     ])
     def test_every_budget_matches_reference(self, orders, size, mode, symmetry, depth):
         stats, _, _ = _sweep_budgets(orders, size, mode, symmetry, depth)
         assert stats["pruned_by_screen"] > 0 and stats["leaves_tested"] > 0
         if symmetry == "affine":
             assert stats["pruned_by_symmetry"] > 0
+
+    @pytest.mark.parametrize("orders,size,mode,symmetry", [
+        ((2, 6), 6, "pair", "affine"),
+        ((12,), 6, "pair", "translation"),
+    ])
+    def test_batches_split_into_blocks(self, monkeypatch, orders, size, mode, symmetry):
+        # blocks of 2 rows (8 entries over 4 columns) split every batch of
+        # more than one level, and each block is cut in turn
+        blocks = []
+        batch = search._batch
+
+        def recording(*args):
+            blocks.append(len(args) > 7)
+            return batch(*args)
+
+        monkeypatch.setattr(search, "_BATCH_ENTRIES", 8)
+        monkeypatch.setattr(search, "_batch", recording)
+        _sweep_budgets(orders, size, mode, symmetry)
+        assert sum(blocks) > len(blocks) // 2
+
+    def test_four_level_batch_memory(self):
+        # a size-8 translation search of Z256 stops at a 200,000-node budget
+        # inside its first batch, whose four levels below a node of depth 4
+        # hold up to C(252, 3) great-grandchildren; walked in blocks, it
+        # grows the peak RSS of a fresh interpreter by under 16 MB
+        code = (
+            "import resource\n"
+            "from fdual.abelian import GroupSpec\n"
+            "from fdual.search import SearchConfig, _context, run_search\n"
+            "def peak_kb():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "spec = GroupSpec((256,))\n"
+            "_context(spec)\n"
+            "base = peak_kb()\n"
+            "result = run_search(SearchConfig(spec=spec, target_size=8, mode='pair',\n"
+            "                                 symmetry='translation', budget=200_000))\n"
+            "print(base, peak_kb(), result.stats.nodes_visited, int(result.complete))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        base_kb, peak_kb, nodes, complete = map(int, proc.stdout.split())
+        assert nodes == 200_000 and not complete
+        assert (peak_kb - base_kb) * 1024 < 16 << 20
 
     def test_screen_in_many_chunks(self, monkeypatch):
         # a node's leaf pairs (up to 91) span many chunks of 3
@@ -724,13 +771,15 @@ class TestBatchedWalk:
 
     @pytest.mark.parametrize("orders,size,mode,symmetry,depth,hits,joined", [
         ((5, 5), 5, "self_dual", "affine", None, 1, False),
-        ((12,), 6, "pair", "translation", 1, 0, True),
+        ((14,), 7, "pair", "translation", 1, 0, True),
     ])
     def test_chunks_of_three_levels(
         self, monkeypatch, orders, size, mode, symmetry, depth, hits, joined
     ):
         # chunks of 3 leaves split a batch node's leaves, and in a task with
-        # many batch nodes (the one task at depth 1) some join two nodes'
+        # many batch nodes (the one task at depth 1) some join two nodes'.
+        # That takes size 7, whose 3,003 nodes are swept at every 29th budget
+        step = 29 if size == 7 else 1
         nodes_per_chunk = []
         screen = search._screen
 
@@ -740,7 +789,7 @@ class TestBatchedWalk:
 
         monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
         monkeypatch.setattr(search, "_screen", recording)
-        _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth)
+        _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth, step)
         assert len(found) == hits
         assert (max(nodes_per_chunk) > 1) == joined
 
