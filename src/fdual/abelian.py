@@ -224,16 +224,6 @@ class ElementSet:
         return f"ElementSet({{{', '.join(map(str, self))}}})"
 
 
-def translate(spec: GroupSpec, s: ElementSet, v: int) -> ElementSet:
-    """The set s + v."""
-    moved = spec.index_of(spec.coords[list(s)] + spec.coords[v])
-    return ElementSet.from_indices(moved.tolist())
-
-
-def negate_set(spec: GroupSpec, s: ElementSet) -> ElementSet:
-    return ElementSet.from_indices(spec.index_of(-spec.coords[list(s)]).tolist())
-
-
 def subgroup_generated(spec: GroupSpec, gens: ElementSet | Iterable[int]) -> ElementSet:
     """Smallest subgroup containing the generators (always contains 0).
 
@@ -790,10 +780,3 @@ class AffineReducer:
 def affine_reducer(spec: GroupSpec) -> AffineReducer:
     """The reducer over ``automorphism_group(spec)``, built once per group."""
     return AffineReducer(spec, automorphism_group(spec))
-
-
-def affine_canonical_form(spec: GroupSpec, s: ElementSet) -> ElementSet:
-    """Canonical representative of the affine orbit of a nonempty set."""
-    if not s:
-        raise ValueError("canonical form of the empty set is undefined")
-    return ElementSet.from_indices(affine_reducer(spec).canonical_form(s.indices))

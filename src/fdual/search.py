@@ -24,11 +24,11 @@ Below a node of depth size - 4 the last four levels are one batch: one
 walk gates its children, one more the grandchildren of the canonical ones,
 one more the great-grandchildren of the canonical grandchildren, and one
 cut of the nodes' costs in DFS order at the budget gives every count, so no
-loop runs per node there.  Leaves wait in a buffer for the whole task and
-are float-screened in chunks (prune only when the exact identity certainly
-fails): first on one character per Galois orbit t -> u*t, then on every
-character for the survivors, which gives the verdicts of the full screen
-bit for bit.  Survivors are canonically gated,
+loop runs per node there.  The batch then float-screens the leaves the cut
+allows in chunks, from its node's partial spectrum (prune only when the
+exact identity certainly fails): first on one character per Galois orbit
+t -> u*t, then on every character for the survivors, which gives the
+verdicts of the full screen bit for bit.  Survivors are canonically gated,
 then handed to the exact leaf test.  Every emitted certificate has passed
 the exact integer check and primitivity for both sets.
 
@@ -46,7 +46,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -68,6 +68,22 @@ from .primitivity import is_primitive
 MODES = ("pair", "self_dual")
 SYMMETRIES = ("none", "translation", "affine")
 
+# The screen prunes a leaf only when some |chi_t(S)|^2 / ratio is farther
+# than FLOAT_SCREEN_TOL / ratio from every integer, so it never prunes a
+# solution while its float |chi_t(S)|^2 = |sum_{x in S} zeta^B(t,x)|^2 errs
+# by less than FLOAT_SCREEN_TOL.  With k = |S|, u = 2^-53 and cos, sin and
+# hypot within one ulp (as in glibc):
+#  - a character entry exp(2 pi i e / m) is within 27u of zeta^e: its angle
+#    below 2 pi takes at most four roundings (pi, times e, times 1/m; 25.2u)
+#    and cos and sin one ulp each;
+#  - k entries added in any order are within k * 27u + gamma_{k-1} * k of
+#    the exact sum, gamma_j = j u / (1 - j u) (Higham, "Accuracy and
+#    Stability of Numerical Algorithms", 4.2, per component, joined by the
+#    triangle inequality), in all E <= (k^2 + 27k) u;
+#  - squaring the modulus adds 2kE + E^2, hypot and the square 3k^2 u, and
+#    the screen's ratio, division and product 3k^2 u more.
+# That is at most (2k^3 + 60k^2) u, 4.2e-9 at k = 256 (|G| <= 256), 240
+# times below the tolerance; tests measure it at |S| = 128.
 FLOAT_SCREEN_TOL = 1e-6
 
 
@@ -363,11 +379,6 @@ def _weight_matched_set(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_tester(config: SearchConfig, ctx: _SearchContext) -> Callable[[tuple[int, ...]], Certificate | None]:
-    test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
-    return lambda leaf: test(ctx.spec, ElementSet.from_indices(leaf))
-
-
 def _canonical_mask(
     config: SearchConfig, ctx: _SearchContext, node: list[int], tails
 ) -> np.ndarray:
@@ -428,22 +439,27 @@ def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
 _SCREEN_CHUNK = 512
 
 
-def _float_passes(
-    partials: np.ndarray, matrix: np.ndarray, cols: np.ndarray, ratio: float
-) -> np.ndarray:
-    """Which leaves pass the float screen on the characters whose rows
-    ``partials`` and ``matrix`` hold.  A leaf is a row of ``cols``: a column
-    of ``partials``, then the character columns added to it in tree order.
-    It passes when every |chi_t(S)|^2 / ratio is within FLOAT_SCREEN_TOL /
-    ratio of an integer, ratio = |S|^2 / |T|."""
-    sums = partials[:, cols[:, 0]] + matrix[:, cols[:, 1]]
-    for j in range(2, cols.shape[1]):
+def _float_norms(partial: np.ndarray, matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Float |chi_t(S)|^2 on the characters whose rows ``partial`` and
+    ``matrix`` hold, one column per leaf.  A leaf is a row of ``cols``:
+    its character columns, added to ``partial`` in tree order."""
+    sums = partial[:, None] + matrix[:, cols[:, 0]]
+    for j in range(1, cols.shape[1]):
         sums += matrix[:, cols[:, j]]
-    q = np.abs(sums) ** 2 / ratio
+    return np.abs(sums) ** 2
+
+
+def _float_passes(
+    partial: np.ndarray, matrix: np.ndarray, cols: np.ndarray, ratio: float
+) -> np.ndarray:
+    """Which leaves pass the float screen: every |chi_t(S)|^2 / ratio
+    (``_float_norms``) is within FLOAT_SCREEN_TOL / ratio of an integer,
+    ratio = |S|^2 / |T|."""
+    q = _float_norms(partial, matrix, cols) / ratio
     return (np.abs(q - np.round(q)) * ratio).max(axis=0) <= FLOAT_SCREEN_TOL
 
 
-def _screen(ctx: _SearchContext, ratio: float, partials: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _screen(ctx: _SearchContext, ratio: float, partial: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``_float_passes`` on every character, in two stages.
 
     Stage 1 reads one nonzero character per orbit of t -> u*t
@@ -453,75 +469,45 @@ def _screen(ctx: _SearchContext, ratio: float, partials: np.ndarray, cols: np.nd
     stage 1 keeps.  Each row's value is computed by the same additions in
     both, so the verdicts are those of one full-row screen, bit for bit.
     """
-    keep = _float_passes(partials[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
-    keep[keep] = _float_passes(partials, ctx.char_matrix, cols[keep], ratio)
+    keep = _float_passes(partial[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
+    keep[keep] = _float_passes(partial, ctx.char_matrix, cols[keep], ratio)
     return keep
 
 
-class _Leaves:
-    """The leaves of one task, screened, gated and exact-tested in DFS order.
+def _test_leaves(
+    config: SearchConfig, ctx: _SearchContext, node: list[int], partial: np.ndarray,
+    runs: np.ndarray, count: np.ndarray, stats: SearchStats, hits: list[Certificate],
+) -> None:
+    """Screen, gate and exact-test the leaves of one batch node in DFS order.
 
-    Batches add runs of leaves node + prefix + (b,), b = first, first + 1,
-    ...  Once _SCREEN_CHUNK leaves wait, all waiting leaves are screened
-    (``_screen``) in chunks of at most _SCREEN_CHUNK columns, whatever
-    batch nodes they come from.  A leaf's spectrum is its batch node's
-    partial spectrum plus one character column per prefix element and b,
-    added in tree order: the sum the walk would build one level at a time.
+    Row i of ``runs`` is a prefix below the node and a first element b: it
+    stands for the leaves node + prefix + (b + j,), j < count[i].  They are
+    screened (``_screen``) in chunks of at most _SCREEN_CHUNK columns.  A
+    leaf's spectrum is the node's partial spectrum plus one character
+    column per prefix element and b, added in tree order: the sum the walk
+    would build one level at a time.  Leaves that pass are canonically
+    gated, then exact-tested.
     """
-
-    def __init__(
-        self, config: SearchConfig, ctx: _SearchContext, stats: SearchStats, hits: list[Certificate]
-    ):
-        self.config, self.ctx, self.stats, self.hits = config, ctx, stats, hits
-        self.leaf_test = _leaf_tester(config, ctx)
-        self.ratio = config.target_size ** 2 / config.partner_size
-        self.nodes: list[tuple[int, ...]] = []
-        self.partials: list[np.ndarray] = []
-        self.runs: list[np.ndarray] = []  # rows: node id, prefix..., first, count
-        self.waiting = 0
-
-    def add(
-        self, node: list[int], partial: np.ndarray, prefix: np.ndarray,
-        first: np.ndarray, count: np.ndarray,
-    ) -> None:
-        total = int(count.sum())
-        if not total:
-            return
-        node_id = np.full(len(count), len(self.nodes))
-        self.nodes.append(tuple(node))
-        self.partials.append(partial)
-        self.runs.append(np.column_stack((node_id, prefix, first, count)))
-        self.waiting += total
-        if self.waiting >= _SCREEN_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Screen, gate and test every waiting leaf."""
-        if not self.waiting:
-            return
-        runs, nodes = np.concatenate(self.runs), self.nodes
-        partials = np.column_stack(self.partials)
-        self.nodes, self.partials, self.runs, self.waiting = [], [], [], 0
-        ends = np.cumsum(runs[:, -1])
-        for lo in range(0, int(ends[-1]), _SCREEN_CHUNK):
-            ids = np.arange(lo, min(lo + _SCREEN_CHUNK, int(ends[-1])))
-            r = np.searchsorted(ends, ids, side="right")
-            cols = runs[r, :-1]
-            cols[:, -1] += ids - ends[r] + runs[r, -1]  # first + place in the run
-            cols = cols[_screen(self.ctx, self.ratio, partials, cols)]
-            self.stats.pruned_by_screen += len(ids) - len(cols)
-            for row in cols.tolist():
-                self._test((*nodes[row[0]], *row[1:]))
-
-    def _test(self, leaf: tuple[int, ...]) -> None:
-        if self.config.symmetry == "affine" and not self.ctx.reducer.is_canonical(leaf):
-            self.stats.pruned_by_symmetry += 1
-            return
-        self.stats.leaves_tested += 1
-        cert = self.leaf_test(leaf)
-        if cert is not None:
-            self.stats.hits += 1
-            self.hits.append(cert)
+    test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
+    ratio = config.target_size ** 2 / config.partner_size
+    head, ends, total = tuple(node), np.cumsum(count), int(count.sum())
+    for lo in range(0, total, _SCREEN_CHUNK):
+        ids = np.arange(lo, min(lo + _SCREEN_CHUNK, total))
+        r = np.searchsorted(ends, ids, side="right")
+        cols = runs[r]
+        cols[:, -1] += ids - ends[r] + count[r]  # b + place in the run
+        cols = cols[_screen(ctx, ratio, partial, cols)]
+        stats.pruned_by_screen += len(ids) - len(cols)
+        for row in cols.tolist():
+            leaf = (*head, *row)
+            if config.symmetry == "affine" and not ctx.reducer.is_canonical(leaf):
+                stats.pruned_by_symmetry += 1
+                continue
+            stats.leaves_tested += 1
+            cert = test(ctx.spec, ElementSet.from_indices(leaf))
+            if cert is not None:
+                stats.hits += 1
+                hits.append(cert)
 
 
 def _cut(costs: np.ndarray, budget: _Budget | None) -> tuple[np.ndarray, bool]:
@@ -546,7 +532,7 @@ def _batch(
     char_partial: np.ndarray,
     stats: SearchStats,
     budget: _Budget | None,
-    leaves: _Leaves,
+    hits: list[Certificate],
     rows: np.ndarray | None = None,
     depth: np.ndarray | None = None,
     ok: np.ndarray | None = None,
@@ -564,8 +550,8 @@ def _batch(
     unit per inner node before it) is below the budget, which is all any
     cut can reach.  A node costs one unit, plus one per leaf below it when
     it is canonical and at depth size - 1.  One cut of those costs at the
-    budget gives every count, and the leaves it allows go to the task's
-    buffer as one run per parent.  A level that would outgrow
+    budget gives every count, and the leaves it allows are tested as one
+    run per parent (``_test_leaves``).  A level that would outgrow
     ``_BATCH_ENTRIES`` is walked, with the levels below it, in consecutive
     blocks of the rows above it, each cut in turn.
     """
@@ -580,7 +566,7 @@ def _batch(
         cuts = np.flatnonzero(np.diff(start // max(1, _BATCH_ENTRIES // levels))) + 1
         if len(cuts):
             for part in zip(np.split(rows, cuts), np.split(depth, cuts), np.split(ok, cuts)):
-                if not _batch(config, ctx, node, char_partial, stats, budget, leaves, *part, level):
+                if not _batch(config, ctx, node, char_partial, stats, budget, hits, *part, level):
                     return False
             return True
         parent = np.repeat(np.arange(len(per)), per)
@@ -598,8 +584,8 @@ def _batch(
     stats.nodes_visited += int(allowed.sum())
     stats.pruned_by_symmetry += int(np.count_nonzero((allowed > 0) & ~ok))
     leafy = parents & (allowed > inner)
-    count = allowed[leafy] - inner[leafy]
-    leaves.add(node, char_partial, rows[leafy, 1:], rows[leafy, -1] + 1, count)
+    runs = np.column_stack((rows[leafy, 1:], rows[leafy, -1] + 1))
+    _test_leaves(config, ctx, node, char_partial, runs, allowed[leafy] - inner[leafy], stats, hits)
     return finished
 
 
@@ -610,7 +596,7 @@ def _descend(
     char_partial: np.ndarray,
     stats: SearchStats,
     budget: _Budget | None,
-    leaves: _Leaves,
+    hits: list[Certificate],
 ) -> bool:
     """Depth-first walk below a node; returns False when the budget ran out.
 
@@ -620,7 +606,7 @@ def _descend(
     left are one batch (``_batch``) with no per-element loop.
     """
     if len(node) >= config.target_size - 4:
-        return _batch(config, ctx, node, char_partial, stats, budget, leaves)
+        return _batch(config, ctx, node, char_partial, stats, budget, hits)
     xs, ok = _children(config, ctx, node)
     for x, keep in zip(xs.tolist(), ok.tolist()):
         if budget is not None and budget.drain(1) == 0:
@@ -631,7 +617,7 @@ def _descend(
             continue
         node.append(x)
         finished = _descend(
-            config, ctx, node, char_partial + ctx.char_matrix[:, x], stats, budget, leaves
+            config, ctx, node, char_partial + ctx.char_matrix[:, x], stats, budget, hits
         )
         node.pop()
         if not finished:
@@ -647,9 +633,7 @@ def _run_task(
     stats = SearchStats()
     hits: list[Certificate] = []
     char_partial = ctx.char_matrix[:, list(task)].sum(axis=1)
-    leaves = _Leaves(config, ctx, stats, hits)
-    finished = _descend(config, ctx, list(task), char_partial, stats, budget, leaves)
-    leaves.flush()
+    finished = _descend(config, ctx, list(task), char_partial, stats, budget, hits)
     return stats, hits, finished
 
 
@@ -756,13 +740,6 @@ def _resume_from(
     else:
         return record
     raise CheckpointError(f"checkpoint {path} {problem}; refusing to resume")
-
-
-def checkpoint_resume(path: str, config: SearchConfig) -> list[tuple[int, ...]]:
-    """Remaining tasks after a checkpoint; refuses it as ``_resume_from`` does."""
-    tasks = enumerate_tasks(config)
-    done = set(_resume_from(path, config, tasks).completed)
-    return [t for t in tasks if t not in done]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ a depth-first search over generator images on the oracle's own addition
 table; the library's enumerator, its self-dual leaf test and a Burnside
 count of affine orbits, which the orderly walk must match, are checked
 against it.  Whether an index table row is an automorphism at all is
-decided here on the tuple arithmetic, pair by pair.
+decided here on the tuple arithmetic, pair by pair.  A few helpers on the
+library's own encoding (``translate``, ``negate_set``,
+``affine_canonical_form``, ``checkpoint_resume``) live here too, because
+only the tests call them.
 """
 
 from __future__ import annotations
@@ -324,6 +327,45 @@ def union_of_cosets_oracle(spec, s):
 
 
 # ---------------------------------------------------------------------------
+# helpers on the library's encoding that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def translate(spec, s, v):
+    """The set s + v."""
+    from fdual.abelian import ElementSet
+
+    moved = spec.index_of(spec.coords[list(s)] + spec.coords[v])
+    return ElementSet.from_indices(moved.tolist())
+
+
+def negate_set(spec, s):
+    """The set -s."""
+    from fdual.abelian import ElementSet
+
+    return ElementSet.from_indices(spec.index_of(-spec.coords[list(s)]).tolist())
+
+
+def affine_canonical_form(spec, s):
+    """The library's canonical representative of the affine orbit of a
+    nonempty set."""
+    from fdual.abelian import ElementSet, affine_reducer
+
+    if not s:
+        raise ValueError("canonical form of the empty set is undefined")
+    return ElementSet.from_indices(affine_reducer(spec).canonical_form(s.indices))
+
+
+def checkpoint_resume(path, config):
+    """Remaining tasks after a checkpoint; refuses it as the search does."""
+    from fdual.search import _resume_from, enumerate_tasks
+
+    tasks = enumerate_tasks(config)
+    done = set(_resume_from(path, config, tasks).completed)
+    return [t for t in tasks if t not in done]
+
+
+# ---------------------------------------------------------------------------
 # exhaustive pair-search oracle (tiny groups, fully exact, no screens)
 # ---------------------------------------------------------------------------
 
@@ -331,7 +373,7 @@ def union_of_cosets_oracle(spec, s):
 def exact_pair_classes(spec, size):
     """Affine classes of primitive S admitting a primitive partner, by trying
     every S and every T with the exact checker.  Only viable for tiny groups."""
-    from fdual.abelian import ElementSet, affine_canonical_form, standard_pairing
+    from fdual.abelian import ElementSet, standard_pairing
     from fdual.duality import check_pair
     from fdual.primitivity import is_primitive
 
@@ -616,13 +658,14 @@ def reference_walk(config):
     An outcome is "symmetry", "screen", "open" (an expanded inner node),
     "leaf" (an exact-tested leaf) or the hit leaf itself.
     """
-    from fdual.search import FLOAT_SCREEN_TOL, _context, _leaf_tester
+    from fdual.abelian import ElementSet
+    from fdual.search import FLOAT_SCREEN_TOL, _context, pair_leaf_test, self_dual_leaf_test
 
     ctx = _context(config.spec)
     n, size = ctx.n, config.target_size
     affine = config.symmetry == "affine"
     ratio = size ** 2 / config.partner_size
-    leaf_test = _leaf_tester(config, ctx)
+    leaf_test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
 
     frontier, task_nodes = [], []
 
@@ -656,7 +699,7 @@ def reference_walk(config):
                 outcomes.append("screen")
             elif affine and not chain_is_canonical(ctx.reducer, child):
                 outcomes.append("symmetry")
-            elif leaf_test(tuple(child)) is None:
+            elif leaf_test(ctx.spec, ElementSet.from_indices(child)) is None:
                 outcomes.append("leaf")
             else:
                 outcomes.append(tuple(child))

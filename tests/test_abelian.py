@@ -16,29 +16,29 @@ from fdual.abelian import (
     GroupSpec,
     PairingMatrix,
     _aut_tables,
-    affine_canonical_form,
     affine_reducer,
     aut_order,
     automorphism_group,
-    negate_set,
     pairing_from_automorphism,
     stabilizer,
     standard_pairing,
     subgroup_generated,
-    translate,
 )
 
 from oracles import (
     abelian_group_orders,
+    affine_canonical_form,
     aut_tables_oracle,
     chain_is_canonical,
     is_automorphism_table,
     map_set,
+    negate_set,
     oracle_add,
     oracle_neg,
     scan_canonical_form,
     scan_forms_by_orbit,
     scan_is_canonical,
+    translate,
 )
 
 Z4 = GroupSpec((4,))

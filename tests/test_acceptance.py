@@ -19,7 +19,6 @@ from fdual.abelian import (
     automorphism_group,
     pairing_from_automorphism,
     standard_pairing,
-    translate,
 )
 from fdual.cli import main
 from fdual.cyclotomic import _poly_mul, cyclotomic_poly
@@ -43,6 +42,7 @@ from oracles import (
     map_set,
     oracle_neg,
     spectrum_entry,
+    translate,
     union_of_cosets_oracle,
 )
 

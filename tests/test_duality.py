@@ -12,7 +12,6 @@ from fdual.abelian import (
     automorphism_group,
     pairing_from_automorphism,
     standard_pairing,
-    translate,
 )
 from fdual.cyclotomic import as_integer, residue
 from fdual.duality import (
@@ -33,6 +32,7 @@ from oracles import (
     oracle_neg,
     spectrum_entry,
     spectrum_entry_from_nu,
+    translate,
 )
 
 Z2 = GroupSpec((2,))

@@ -22,7 +22,6 @@ from fdual.abelian import (
     stabilizer,
     standard_pairing,
     subgroup_generated,
-    translate,
 )
 from fdual.duality import check_pair, weight_enumerator
 from fdual.primitivity import is_primitive
@@ -100,8 +99,6 @@ def test_set_operations_match_tuple_oracles(orders):
     for _ in range(25):
         s = _random_set(rng, spec)
         assert weight_enumerator(spec, s) == weight_enumerator_oracle(spec, s)
-        v = rng.randrange(spec.order)
-        assert set(translate(spec, s, v)) == translate_oracle(spec, s, v)
         st = stabilizer(spec, s)
         assert set(st) == stabilizer_oracle(spec, s)
         nontrivial += len(st) > 1

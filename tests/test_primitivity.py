@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fdual.abelian import ElementSet, GroupSpec, automorphism_group, translate
+from fdual.abelian import ElementSet, GroupSpec, automorphism_group
 from fdual.primitivity import is_in_proper_coset, is_primitive, is_union_of_cosets
 
 from oracles import (
@@ -13,6 +13,7 @@ from oracles import (
     map_set,
     oracle_add,
     oracle_neg,
+    translate,
     union_of_cosets_oracle,
 )
 

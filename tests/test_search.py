@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,6 @@ from fdual.abelian import (
     ElementSet,
     _aut_tables,
     GroupSpec,
-    affine_canonical_form,
     affine_reducer,
     aut_order,
     automorphism_group,
@@ -34,7 +34,6 @@ from fdual.search import (
     CheckpointRecord,
     SearchConfig,
     SearchStats,
-    checkpoint_resume,
     checkpoint_save,
     enumerate_tasks,
     pair_leaf_test,
@@ -48,6 +47,8 @@ from fdual.search import (
 from fdual import search
 from oracles import (
     abelian_group_orders,
+    affine_canonical_form,
+    checkpoint_resume,
     exact_pair_classes,
     reference_result,
     reference_walk,
@@ -483,6 +484,45 @@ class TestScreenSoundness:
                     if deviation > 1e-6:
                         assert pair_leaf_test(spec, ElementSet.from_indices(combo)) is None, (orders, combo)
 
+    @pytest.mark.parametrize("orders", [(256,), (16, 16)])
+    @pytest.mark.parametrize("kind", ["subgroup", "random"])
+    def test_float_error_within_stated_bound(self, orders, kind):
+        # the screened values of sets of 128 elements in groups of order 256
+        # against exact_spectrum where it is an integer and an
+        # extended-precision sum elsewhere: the error is within the bound
+        # stated at FLOAT_SCREEN_TOL, which is far below the tolerance even
+        # at |S| = 256
+        if np.finfo(np.longdouble).eps > 2.0 ** -60:
+            pytest.skip("long double is no wider than float64 here")
+        spec = GroupSpec(orders)
+        ctx = search._context(spec)
+        if kind == "subgroup":  # first coordinate even, index 2
+            s = np.flatnonzero(spec.coords[:, 0] % 2 == 0)
+        else:
+            s = np.sort(np.random.default_rng(sum(orders)).choice(spec.order, 128, replace=False))
+        k = len(s)
+        assert k == 128
+        partial, cols = ctx.char_matrix[:, s[:-4]].sum(axis=1), s[None, -4:]
+        values = search._float_norms(partial, ctx.char_matrix, cols)[:, 0]
+
+        angles = (2 * np.longdouble("3.14159265358979323846264338327950288")
+                  * standard_pairing(spec).exponents(range(spec.order), s) / spec.exponent)
+        reference = np.cos(angles).sum(axis=1) ** 2 + np.sin(angles).sum(axis=1) ** 2
+        exact = exact_spectrum(spec, standard_pairing(spec), ElementSet.from_indices(s.tolist()))
+        known = [t for t, v in enumerate(exact) if v is not None]
+        assert np.abs(reference[known] - [exact[t] for t in known]).max() < 1e-15 * k * k
+        reference[known] = [exact[t] for t in known]
+        assert kind == "random" or len(known) == spec.order
+
+        def bound(k):
+            return (2 * k ** 3 + 60 * k ** 2) * 2.0 ** -53
+
+        assert float(np.abs(values - reference).max()) <= bound(k)
+        assert bound(256) < search.FLOAT_SCREEN_TOL / 100
+        if kind == "subgroup":
+            ratio = k ** 2 / (spec.order // k)
+            assert search._float_passes(partial, ctx.char_matrix, cols, ratio).all()
+
 
 class TestDeterminismAndParallelism:
     def test_worker_count_does_not_change_results(self):
@@ -689,13 +729,13 @@ def _sweep_budgets(orders, size, mode, symmetry, depth=None, step=1):
 
 class TestBatchedWalk:
     """The batched walk (one canonicity walk per level below a node of depth
-    size - 4, one cut of the node costs at the budget, a task-wide two-stage
-    float screen) against the search walked one node at a time: identical
-    counts, stop points and hit lists at every budget.  Tasks start above
-    depth size - 4 (size 6 with depth 1), at it (size 6, default depth), at
-    size - 3 (size 4 with depth 1, size 5 with the default depth, size 6
-    with depth 3), at size - 2 (size 4, default depth) and at size - 1
-    (depth 3 with size 4)."""
+    size - 4, one cut of the node costs at the budget, a two-stage float
+    screen of each batch's own leaves) against the search walked one node
+    at a time: identical counts, stop points and hit lists at every budget.
+    Tasks start above depth size - 4 (size 6 with depth 1), at it (size 6,
+    default depth), at size - 3 (size 4 with depth 1, size 5 with the
+    default depth, size 6 with depth 3), at size - 2 (size 4, default
+    depth) and at size - 1 (depth 3 with size 4)."""
 
     @pytest.mark.parametrize("orders,size,mode,symmetry,depth", [
         ((16,), 4, "pair", "translation", None),
@@ -769,29 +809,46 @@ class TestBatchedWalk:
         stats, _, hits = _sweep_budgets((4, 4), 4, "self_dual", "affine")
         assert len(hits) == 2
 
-    @pytest.mark.parametrize("orders,size,mode,symmetry,depth,hits,joined", [
+    @pytest.mark.parametrize("orders,size,mode,symmetry,depth,hits,shared", [
         ((5, 5), 5, "self_dual", "affine", None, 1, False),
         ((14,), 7, "pair", "translation", 1, 0, True),
     ])
     def test_chunks_of_three_levels(
-        self, monkeypatch, orders, size, mode, symmetry, depth, hits, joined
+        self, monkeypatch, orders, size, mode, symmetry, depth, hits, shared
     ):
-        # chunks of 3 leaves split a batch node's leaves, and in a task with
-        # many batch nodes (the one task at depth 1) some join two nodes'.
-        # That takes size 7, whose 3,003 nodes are swept at every 29th budget
+        # chunks of 3 leaves split a batch node's leaves, and some chunk
+        # holds the runs of two parents; but every chunk holds the leaves of
+        # one batch node alone, also in a task shared by many batch nodes
+        # (the one task at depth 1 of size 7, whose 3,003 nodes are swept at
+        # every 29th budget)
         step = 29 if size == 7 else 1
-        nodes_per_chunk = []
-        screen = search._screen
+        open_batches, chunks = [], []  # chunks: (task, batch node, parents)
+        batch, screen = search._batch, search._screen
 
-        def recording(ctx, ratio, partials, cols):
-            nodes_per_chunk.append(len(set(cols[:, 0].tolist())))
-            return screen(ctx, ratio, partials, cols)
+        def recording_batch(config, ctx, node, partial, *rest):
+            open_batches.append((tuple(node), partial))
+            try:
+                return batch(config, ctx, node, partial, *rest)
+            finally:
+                open_batches.pop()
+
+        def recording_screen(ctx, ratio, partial, cols):
+            node, own = open_batches[-1]
+            assert partial is own
+            assert cols.shape[1] == size - len(node) and (cols[:, 0] > node[-1]).all()
+            parents = {tuple(row) for row in cols[:, :-1].tolist()}
+            chunks.append((node[: depth or 2], node, len(parents)))
+            return screen(ctx, ratio, partial, cols)
 
         monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
-        monkeypatch.setattr(search, "_screen", recording)
+        monkeypatch.setattr(search, "_batch", recording_batch)
+        monkeypatch.setattr(search, "_screen", recording_screen)
         _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth, step)
         assert len(found) == hits
-        assert (max(nodes_per_chunk) > 1) == joined
+        assert max(parents for _, _, parents in chunks) > 1
+        assert len(chunks) > len({node for _, node, _ in chunks})
+        nodes_per_task = Counter(task for task, _ in {(t, node) for t, node, _ in chunks})
+        assert (max(nodes_per_task.values()) > 1) == shared
 
 
 def _unit_orbits(spec):
@@ -840,30 +897,37 @@ class TestTwoStageScreen:
         ((8, 8), 8, True), ((2, 2, 4, 4), 8, True),
     ])
     def test_mask_equals_full_row_screen(self, orders, size, thin):
-        # random leaves (node id, x, a, b) plus the leaves {0, g, 2g, ...},
-        # among them subgroups, which pass; thin=True keeps one stage-1 row,
-        # so stage 2 has leaves to prune
+        # random leaves (prefix id, x, a, b) plus the leaves {0, g, 2g, ...},
+        # among them subgroups, which pass, screened per prefix from its
+        # partial spectrum; thin=True keeps one stage-1 row, so stage 2 has
+        # leaves to prune
         spec = GroupSpec(orders)
         ctx = search._context(spec)
         n = spec.order
         ratio = size ** 2 / (n // size)
         rng = np.random.default_rng(n + size)
         prefixes = [sorted(rng.choice(n, size=size - 3, replace=False).tolist()) for _ in range(40)]
-        cols = [(rng.integers(40), *rng.choice(n, size=3, replace=False)) for _ in range(3000)]
+        leaves = [(rng.integers(40), *rng.choice(n, size=3, replace=False)) for _ in range(3000)]
         for g in range(1, n):
             cyclic = sorted({spec.index_of(j * spec.coords[g]) for j in range(size)})
             if len(cyclic) == size:
                 prefixes.append(cyclic[:-3])
-                cols.append((len(prefixes) - 1, *cyclic[-3:]))
-        partials = np.column_stack([ctx.char_matrix[:, p].sum(axis=1) for p in prefixes])
-        cols = np.array(cols, dtype=np.intp)
+                leaves.append((len(prefixes) - 1, *cyclic[-3:]))
+        leaves = np.array(leaves, dtype=np.intp)
         if thin:
             rows = ctx.orbit_rows[:1]
             ctx = SimpleNamespace(char_matrix=ctx.char_matrix, orbit_rows=rows,
                                   orbit_matrix=ctx.char_matrix[rows])
-        full = search._float_passes(partials, ctx.char_matrix, cols, ratio)
-        stage1 = search._float_passes(partials[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
-        assert search._screen(ctx, ratio, partials, cols).tolist() == full.tolist()
+        full, stage1, screened = [], [], []
+        for p, prefix in enumerate(prefixes):
+            partial = ctx.char_matrix[:, prefix].sum(axis=1)
+            cols = leaves[leaves[:, 0] == p, 1:]
+            full.append(search._float_passes(partial, ctx.char_matrix, cols, ratio))
+            stage1.append(search._float_passes(
+                partial[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio))
+            screened.append(search._screen(ctx, ratio, partial, cols))
+        full, stage1, screened = map(np.concatenate, (full, stage1, screened))
+        assert screened.tolist() == full.tolist()
         assert full.any() and not full.all()
         assert (stage1 & ~full).any() == thin
 
