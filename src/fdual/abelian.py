@@ -34,8 +34,11 @@ MAX_GROUP_ORDER = 256
 
 
 def _is_int(value) -> bool:
-    """True for an integer; bools are not (JSON ``true`` is no coordinate)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for an integer; bools are not (JSON ``true`` is no coordinate).
+    A plain int, by far the most common, skips the slower ABC check."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -314,8 +317,9 @@ class PairingMatrix:
 
     @cached_property
     def is_nondegenerate(self) -> bool:
-        """True iff x -> B(x, .) has trivial kernel (B against the generators suffices)."""
-        against_gens = self.exponents(range(self.spec.order), self.spec.generator_indices())
+        """True iff x -> B(x, .) has trivial kernel.  B against the generators
+        suffices, and B(x, e_j) is column j of x M."""
+        against_gens = (self.spec.coords @ self._matrix) % self.spec.exponent
         return not (against_gens[1:] == 0).all(axis=1).any()
 
     def to_rows(self) -> list[list[int]]:
@@ -402,6 +406,37 @@ def aut_order(spec: GroupSpec) -> int:
 # (rows, |G|) temporaries, the int64 gather indices among them, exceeds
 # _IMAGE_BLOCK entries (1 MB)
 _IMAGE_BLOCK = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def galois_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The classes {u*t : u a unit mod the exponent m} of G, i.e. the sets of
+    generators of its cyclic subgroups, as read-only arrays (reps, slot):
+    reps lists the least element of each class in ascending order, and
+    reps[slot[t]] is the least element of t's class.  reps[0] is 0.
+
+    B(u*t, x) = u*B(t, x), so the character values |chi_(u*t)(S)|^2 are the
+    Galois conjugates of |chi_t(S)|^2: equal to it when it is an integer,
+    and not integers when it is not.  Any group is accepted; elements and
+    units go in blocks, so no temporary exceeds ``_IMAGE_BLOCK`` entries.
+    """
+    n, m = spec.order, spec.exponent
+    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+    least = np.arange(n)
+    block = max(1, _IMAGE_BLOCK // spec.rank)
+    for lo in range(0, n, block):
+        coords, out = spec.coords[lo : lo + block], least[lo : lo + block]
+        step = max(1, _IMAGE_BLOCK // coords.size)
+        for u in range(0, len(units), step):
+            images = spec.index_of(units[u : u + step, None, None] * coords)
+            np.minimum(out, images.min(axis=0), out=out)
+    reps = np.flatnonzero(least == np.arange(n))
+    slot = np.empty(n, dtype=np.intp)
+    slot[reps] = np.arange(len(reps))
+    slot = slot[least]
+    reps.setflags(write=False)
+    slot.setflags(write=False)
+    return reps, slot
 
 
 def _check_order(spec: GroupSpec) -> None:

@@ -15,10 +15,22 @@ B(t, x) - B(t, y) = B(t, x - y) mod m, |chi_t(S)|^2 is the cyclotomic
 integer sum_d nu_S(d) * zeta^B(t, d), so its residue modulo Phi_m is
 sum_d nu_S(d) * R[B(t, d)] with R the reduction matrix of
 ``cyclotomic.reduction_matrix``: an int64 product over the support of
-nu_S, taken in chunks of characters so that no temporary outgrows
-``_CHUNK_ENTRIES``.  The value is an integer iff every residue coefficient
-above the constant one is zero.  ``tests/oracles.py`` keeps the
-per-character route (``norm_sq`` of the character sum) as the reference.
+nu_S.  The value is an integer iff every residue coefficient above the
+constant one is zero.  The characters u*t, u a unit mod m, have the Galois
+conjugates of |chi_t(S)|^2 as values, equal to it when it is an integer and
+none an integer when it is not, so the kernel reduces one representative
+per class (``abelian.galois_classes``, one class per cyclic subgroup) and
+spreads its verdict and value to the class.  Representatives go in chunks
+so that no temporary outgrows ``_CHUNK_ENTRIES``.  ``tests/oracles.py``
+keeps the per-character route (``norm_sq`` of the character sum) as the
+reference.
+
+A certificate's primitivity flags come from the nu tables of the same run,
+with no float: S is a union of cosets iff nu_S(h) = |S| for some h != 0,
+and lies in a proper coset iff some t != 0 annihilates the support of nu_S,
+which the pairing's nondegeneracy makes equivalent.
+``primitivity.is_primitive``, with its witness subgroups, is the
+independent route the tests compare them with.
 
 The equivalent condition with the roles of S and T exchanged (the "dual
 side") is not checked here: ``tests/oracles.py`` keeps it as a reference,
@@ -35,9 +47,8 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .abelian import ElementSet, GroupSpec, PairingMatrix, _is_int
+from .abelian import ElementSet, GroupSpec, PairingMatrix, _is_int, galois_classes
 from .cyclotomic import reduction_matrix
-from .primitivity import is_primitive
 
 # Largest number of entries in one temporary of the spectrum kernel.
 _CHUNK_ENTRIES = 1 << 20
@@ -66,34 +77,67 @@ def _reduction_bound(m: int) -> int:
     return int(np.abs(reduction_matrix(m)).max())
 
 
+def _residue_rows(
+    pairing: PairingMatrix, support: np.ndarray, weights: np.ndarray, ts
+) -> np.ndarray:
+    """Row r holds the coefficients of |chi_t(S)|^2 mod Phi_m for the r-th
+    character t of ts, from nu_S's support and its weights there."""
+    m = pairing.spec.exponent
+    coeffs = np.zeros((len(ts), m), dtype=np.int64)
+    np.add.at(coeffs, (np.arange(len(ts))[:, None], pairing.exponents(ts, support)), weights)
+    return coeffs @ reduction_matrix(m)
+
+
 def _residue_chunks(
-    spec: GroupSpec, pairing: PairingMatrix, s: ElementSet
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, residues) for consecutive chunks of characters t = start, ...:
-    row r of residues holds the coefficients of |chi_(start+r)(S)|^2 mod Phi_m."""
-    n, m = spec.order, spec.exponent
-    if len(s) ** 2 * _reduction_bound(m) >= _INT64_BOUND:
-        raise ValueError(f"|S| = {len(s)} is too large for exact int64 spectra at exponent {m}")
-    nu = _difference_counts(spec, s)
+    spec: GroupSpec, pairing: PairingMatrix, nu: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, integral, values) for consecutive chunks of the class
+    representatives reps = ``galois_classes(spec)[0]``, from nu = nu_S:
+    entry r says whether |chi_t(S)|^2 is an integer for t = reps[start + r]
+    (every residue coefficient above the constant one is zero), and gives
+    the constant coefficient."""
+    m = spec.exponent
+    if int(nu[0]) ** 2 * _reduction_bound(m) >= _INT64_BOUND:
+        raise ValueError(f"|S| = {nu[0]} is too large for exact int64 spectra at exponent {m}")
+    reps = galois_classes(spec)[0]
     support = np.flatnonzero(nu)
     weights = nu[support]
-    reduction = reduction_matrix(m)
     step = max(1, _CHUNK_ENTRIES // max(len(support), m))
-    for start in range(0, n, step):
-        rows = min(step, n - start)
-        coeffs = np.zeros((rows, m), dtype=np.int64)
-        exponents = pairing.exponents(range(start, start + rows), support)
-        np.add.at(coeffs, (np.arange(rows)[:, None], exponents), weights)
-        yield start, coeffs @ reduction
+    for start in range(0, len(reps), step):
+        residues = _residue_rows(pairing, support, weights, reps[start : start + step])
+        yield start, ~residues[:, 1:].any(axis=1), residues[:, 0]
 
 
 def exact_spectrum(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet) -> list[int | None]:
     """Exact integer spectrum entries |chi_t(S)|^2 for all t, None where not an integer."""
-    out: list[int | None] = []
-    for _, residues in _residue_chunks(spec, pairing, s):
-        integral = ~residues[:, 1:].any(axis=1)
-        out.extend(v if ok else None for v, ok in zip(residues[:, 0].tolist(), integral.tolist()))
-    return out
+    chunks = list(_residue_chunks(spec, pairing, _difference_counts(spec, s)))
+    slot = galois_classes(spec)[1]
+    integral = np.concatenate([chunk[1] for chunk in chunks])[slot]
+    values = np.concatenate([chunk[2] for chunk in chunks])[slot]
+    return [v if ok else None for v, ok in zip(values.tolist(), integral.tolist())]
+
+
+def _primitive_from_nu(pairing: PairingMatrix, nu) -> bool:
+    """Whether a set S is primitive, from nu = nu_S and a nondegenerate pairing.
+
+    S is a union of cosets of a nontrivial subgroup iff S + h = S for some
+    h != 0, i.e. nu_S(h) = |S| = nu_S(0).  S lies in a coset of a proper
+    subgroup iff its differences, the support of nu_S, generate a proper
+    subgroup D, i.e. iff some t != 0 has B(t, d) = 0 for every d in the
+    support (the annihilator of D has |G| / |D| elements).  u*t annihilates
+    D iff t does, so only the nonzero class representatives are tried, in
+    chunks of at most ``_CHUNK_ENTRIES`` exponents.
+    """
+    nu = np.asarray(nu)
+    if (nu[1:] == nu[0]).any():
+        return False
+    support = np.flatnonzero(nu)
+    reps = galois_classes(pairing.spec)[0][1:]
+    step = max(1, _CHUNK_ENTRIES // len(support))
+    return all(
+        pairing.exponents(reps[lo : lo + step], support).any(axis=1).all()
+        for lo in range(0, len(reps), step)
+    )
 
 
 @dataclass(frozen=True)
@@ -116,7 +160,7 @@ def _require_usable(spec: GroupSpec, pairing: PairingMatrix, *sets: ElementSet) 
     for s in sets:
         if not s:
             raise ValueError("formal duality is undefined for empty sets")
-        if s.indices[-1] >= spec.order:
+        if s.mask.bit_length() > spec.order:
             raise ValueError("set contains indices outside the group")
     if pairing.spec != spec:
         raise ValueError("pairing was built for a different group")
@@ -132,16 +176,22 @@ def check_pair(
     Short-circuits to failure when |S|*|T| != |G|: summing the defining
     identity over all characters forces that size law, so no further work
     can succeed.  Otherwise the first failing t is reported, and no chunk
-    of characters after the one holding it is computed.
+    of class representatives is computed once none of its classes can hold
+    a character before the first failure found.
     """
     return _check(spec, pairing, s, t_set)[0]
 
 
 def _check(
     spec: GroupSpec, pairing: PairingMatrix, s: ElementSet, t_set: ElementSet
-) -> tuple[DualityReport, list[int] | None]:
-    """check_pair's report and, when the identity holds, the exact spectrum
-    of S from the same kernel run (every entry is then an integer)."""
+) -> tuple[DualityReport, np.ndarray | None, np.ndarray | None, list[int] | None]:
+    """check_pair's kernel run: the report, nu_S and nu_T (None after a
+    size-law failure) and, when the identity holds, the exact spectrum of S.
+
+    The characters are walked by class representative; each chunk compares
+    every t whose representative it holds, and the least failing t so far
+    is kept.  A chunk whose first representative is not below it holds no
+    earlier failure, so the walk stops there."""
     _require_usable(spec, pairing, s, t_set)
     n = spec.order
     if len(s) * len(t_set) != n:
@@ -150,30 +200,39 @@ def _check(
             expected=n,
             actual=f"size law violated: |S|*|T| = {len(s) * len(t_set)} != {n} = |G|",
         )
-        return DualityReport(holds=False, first_failure=failure, checked_count=0), None
-    nu_t = _difference_counts(spec, t_set)
-    s_sq = len(s) ** 2
+        return DualityReport(holds=False, first_failure=failure, checked_count=0), None, None, None
+    nu_s = _difference_counts(spec, s)
+    nu_t = nu_s if t_set == s else _difference_counts(spec, t_set)
+    reps, slot = galois_classes(spec)
     t_card = len(t_set)
-    spectrum: list[int] = []
-    for start, residues in _residue_chunks(spec, pairing, s):
-        integral = ~residues[:, 1:].any(axis=1)
-        values = residues[:, 0]
-        expected = s_sq * nu_t[start : start + len(residues)]
-        bad = ~integral | (t_card * values != expected)
+    expected = len(s) ** 2 * nu_t
+    integral = np.zeros(len(reps), dtype=bool)
+    values = np.zeros(len(reps), dtype=np.int64)
+    first = n
+    for start, chunk_integral, chunk_values in _residue_chunks(spec, pairing, nu_s):
+        stop = start + len(chunk_values)
+        integral[start:stop], values[start:stop] = chunk_integral, chunk_values
+        fresh = (slot >= start) & (slot < stop)
+        bad = fresh & (~integral[slot] | (t_card * values[slot] != expected))
         if bad.any():
-            row = int(bad.argmax())
-            if integral[row]:
-                actual = f"|T|*|chi_t(S)|^2 = {t_card * int(values[row])}"
-            else:
-                coeffs = residues[row].tolist()
-                while len(coeffs) > 1 and coeffs[-1] == 0:
-                    coeffs.pop()
-                actual = f"|chi_t(S)|^2 is not an integer: residue {tuple(coeffs)}"
-            t = start + row
-            failure = Failure(index=t, expected=int(expected[row]), actual=actual)
-            return DualityReport(holds=False, first_failure=failure, checked_count=t + 1), None
-        spectrum.extend(values.tolist())
-    return DualityReport(holds=True, first_failure=None, checked_count=n), spectrum
+            first = min(first, int(bad.argmax()))
+        if stop < len(reps) and reps[stop] >= first:
+            break
+    if first == n:
+        report = DualityReport(holds=True, first_failure=None, checked_count=n)
+        return report, nu_s, nu_t, values[slot].tolist()
+    if integral[slot[first]]:
+        actual = f"|T|*|chi_t(S)|^2 = {t_card * int(values[slot[first]])}"
+    else:
+        # a class without integers fails first at its least member, which is
+        # its representative; the chunks keep no rows, so that one is redone
+        support = np.flatnonzero(nu_s)
+        coeffs = _residue_rows(pairing, support, nu_s[support], [first])[0].tolist()
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        actual = f"|chi_t(S)|^2 is not an integer: residue {tuple(coeffs)}"
+    failure = Failure(index=first, expected=int(expected[first]), actual=actual)
+    return DualityReport(holds=False, first_failure=failure, checked_count=first + 1), nu_s, nu_t, None
 
 
 def check_self_dual(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet) -> DualityReport:
@@ -290,11 +349,11 @@ def certify(
     kind: str | None = None,
 ) -> tuple[DualityReport, Certificate | None]:
     """The exact check of S against T (S itself when T is None) and, when it
-    holds, the certificate with its primitivity tests, from one kernel run."""
+    holds, the certificate, its nu table, spectrum and primitivity flags
+    all from one kernel run."""
     if kind is None:
         kind = "pair" if t is not None else "self_dual"
-    partner = t if t is not None else s
-    report, spectrum = _check(spec, pairing, s, partner)
+    report, nu_s, nu_t, spectrum = _check(spec, pairing, s, t if t is not None else s)
     if not report.holds:
         return report, None
     return report, Certificate(
@@ -303,10 +362,10 @@ def certify(
         pairing=pairing,
         s=s,
         t=t if kind == "pair" else None,
-        nu_t=weight_enumerator(spec, partner),
+        nu_t=tuple(nu_t.tolist()),
         spectrum=tuple(spectrum),
-        s_primitive=is_primitive(spec, s).primitive,
-        t_primitive=is_primitive(spec, partner).primitive,
+        s_primitive=_primitive_from_nu(pairing, nu_s),
+        t_primitive=_primitive_from_nu(pairing, nu_t),
         version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
@@ -333,19 +392,22 @@ def make_certificate(
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Re-run everything a certificate claims; returns (ok, problems)."""
+    """Re-run everything a certificate claims; returns (ok, problems).  The
+    nu tables, spectrum and primitivity flags come from the check's kernel
+    run when it holds, and are recomputed when it fails."""
     problems: list[str] = []
-    partner = cert.partner
-    report, spectrum = _check(cert.spec, cert.pairing, cert.s, partner)
+    spec, pairing, partner = cert.spec, cert.pairing, cert.partner
+    report, nu_s, nu_t, spectrum = _check(spec, pairing, cert.s, partner)
     if not report.holds:
         problems.append(f"duality check failed: {report.first_failure.actual}")
-        spectrum = exact_spectrum(cert.spec, cert.pairing, cert.s)
-    if weight_enumerator(cert.spec, partner) != cert.nu_t:
+        nu_s, nu_t = _difference_counts(spec, cert.s), _difference_counts(spec, partner)
+        spectrum = exact_spectrum(spec, pairing, cert.s)
+    if tuple(nu_t.tolist()) != cert.nu_t:
         problems.append("recorded nu table does not match recomputation")
     if tuple(v if v is not None else -1 for v in spectrum) != cert.spectrum:
         problems.append("recorded spectrum does not match recomputation")
-    if is_primitive(cert.spec, cert.s).primitive != cert.s_primitive:
+    if _primitive_from_nu(pairing, nu_s) != cert.s_primitive:
         problems.append("recorded primitivity flag for S is wrong")
-    if is_primitive(cert.spec, partner).primitive != cert.t_primitive:
+    if _primitive_from_nu(pairing, nu_t) != cert.t_primitive:
         problems.append("recorded primitivity flag for T is wrong")
     return not problems, problems

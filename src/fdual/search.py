@@ -56,13 +56,20 @@ from .abelian import (
     GroupSpec,
     _aut_tables,
     _is_int,
-    _multiples,
     _sub_table,
     affine_reducer,
+    galois_classes,
     pairing_from_automorphism,
     standard_pairing,
 )
-from .duality import Certificate, certify, exact_spectrum, make_certificate, weight_enumerator
+from .duality import (
+    Certificate,
+    _primitive_from_nu,
+    certify,
+    exact_spectrum,
+    make_certificate,
+    weight_enumerator,
+)
 from .primitivity import is_primitive
 
 MODES = ("pair", "self_dual")
@@ -239,10 +246,7 @@ class _SearchContext:
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
         # one nonzero character t per orbit of t -> u*t, u a unit mod m: its
         # |chi_t(S)|^2 and those of its orbit are Galois conjugates
-        m = spec.exponent
-        units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
-        lowest = _multiples(spec)[units].min(axis=0)
-        self.orbit_rows = np.flatnonzero(lowest == np.arange(self.n))[1:]
+        self.orbit_rows = galois_classes(spec)[0][1:]
         self.orbit_matrix = self.char_matrix[self.orbit_rows]
         self.reducer = affine_reducer(spec)
 
@@ -328,8 +332,12 @@ def _weight_matched_set(
     w[0] == t_size is the caller's to check.
 
     Restricting to 0 in T loses nothing: nu and primitivity are translation
-    invariant, so any valid partner translates to one through 0.
+    invariant, so any valid partner translates to one through 0.  Every
+    candidate has nu_T = w, and primitivity is a function of nu_T, so it is
+    decided once, before the backtracking.
     """
+    if not _primitive_from_nu(standard_pairing(spec), w):
+        return None
     n = spec.order
     sub = _sub_table(spec)
     pool = [x for x in range(1, n) if w[x] > 0]
@@ -340,9 +348,7 @@ def _weight_matched_set(
         need = t_size - len(chosen)
         if need == 0:
             if all(counts[d] == w[d] for d in range(1, n)):
-                t = ElementSet.from_indices(chosen)
-                if is_primitive(spec, t).primitive:
-                    return t
+                return ElementSet.from_indices(chosen)
             return None
         for i in range(pos, len(pool) - need + 1):
             x = pool[i]

@@ -326,6 +326,33 @@ def union_of_cosets_oracle(spec, s):
     return False
 
 
+def every_subset_lattice_tables(spec):
+    """The two lattice oracles above for every nonempty S at once, S the
+    bitmask sum of 2^x over its elements: (masks, nu, in_coset, union) with
+    masks = 1 .. 2^|G| - 1, nu[i, h] = |S & (S + h)| (= nu_S(h)), and the
+    verdicts of ``in_proper_coset_oracle`` and ``union_of_cosets_oracle``,
+    read off ``all_subgroups`` and their cosets as bitmasks."""
+    n = spec.order
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    shifted = []  # S + h, for h = 0 .. n - 1
+    for h in range(n):
+        moved = np.zeros_like(masks)
+        for x in range(n):
+            moved |= ((masks >> x) & 1) << oracle_add(spec, x, h)
+        shifted.append(moved)
+    nu = np.stack([np.bitwise_count(masks & moved) for moved in shifted], axis=1)
+    in_coset = np.zeros(len(masks), dtype=bool)
+    union = np.zeros(len(masks), dtype=bool)
+    for h in all_subgroups(spec):
+        if len(h) > 1:
+            union |= np.logical_and.reduce([shifted[x] == masks for x in h])
+        if len(h) < n:
+            for v in range(n):
+                coset = sum(1 << oracle_add(spec, v, x) for x in h)
+                in_coset |= (masks & ~coset) == 0
+    return masks, nu.astype(np.int64), in_coset, union
+
+
 # ---------------------------------------------------------------------------
 # helpers on the library's encoding that only the tests use
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+import tracemalloc
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fdual.abelian import (
     affine_reducer,
     aut_order,
     automorphism_group,
+    galois_classes,
     pairing_from_automorphism,
     stabilizer,
     standard_pairing,
@@ -38,6 +41,7 @@ from oracles import (
     scan_canonical_form,
     scan_forms_by_orbit,
     scan_is_canonical,
+    subgroup_oracle,
     translate,
 )
 
@@ -224,6 +228,41 @@ class TestPairing:
                 x, y, z = (rng.randrange(spec.order) for _ in range(3))
                 assert e[oracle_add(spec, x, y), z] == (e[x, z] + e[y, z]) % m
                 assert e[x, oracle_add(spec, y, z)] == (e[x, y] + e[x, z]) % m
+
+
+class TestGaloisClasses:
+    @pytest.mark.parametrize("orders", [(1,), (2,), (12,), (2, 6), (3, 9), (5, 5), (2, 2, 4), (8, 8), (40,)], ids=str)
+    def test_classes_are_unit_orbits(self, orders):
+        # one class per cyclic subgroup: the generators u*t of <t>, by tuple
+        # arithmetic
+        spec = GroupSpec(orders)
+        m = spec.exponent
+        elems = list(itertools.product(*(range(k) for k in orders)))
+        index = {e: i for i, e in enumerate(elems)}
+        units = [u for u in range(m) if gcd(u, m) == 1]
+        least = [min(index[tuple(u * c % k for c, k in zip(e, orders))] for u in units) for e in elems]
+        reps, slot = galois_classes(spec)
+        assert not reps.flags.writeable and not slot.flags.writeable
+        assert reps.tolist() == sorted(set(least))
+        assert reps[slot].tolist() == least
+        cyclic = {subgroup_oracle(spec, [t]) for t in range(spec.order)}
+        assert len(reps) == len(cyclic)
+
+    def test_large_group_in_bounded_memory(self):
+        # no |G| cap: elements and units go in blocks of _IMAGE_BLOCK entries
+        spec = GroupSpec((4, 128, 128))
+        spec.coords
+        tracemalloc.start()
+        try:
+            reps, slot = galois_classes(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * spec.order * 8 + 8 * abelian._IMAGE_BLOCK * 8, peak
+        units = np.flatnonzero(np.gcd(np.arange(128), 128) == 1)
+        for t in random.Random(5).sample(range(spec.order), 20):
+            assert reps[slot[t]] == spec.index_of(units[:, None] * spec.coords[t]).min()
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
 
 
 class TestAutomorphisms:

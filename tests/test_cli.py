@@ -204,6 +204,24 @@ def test_verify_does_not_import_search(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verify_and_search_do_not_import_numpy_ma(theorem21_path):
+    # numpy imports numpy.ma lazily, at a cost of about 25 ms, on the first
+    # call of some functions (np.unique without return_index among them);
+    # neither fdual verify nor a search may pay it
+    code = (
+        "import sys\n"
+        "from fdual import cli, search\n"
+        "from fdual.abelian import GroupSpec\n"
+        f"assert cli.main(['verify', {str(theorem21_path)!r}]) == 0\n"
+        "config = search.SearchConfig(spec=GroupSpec((2, 4, 4)), target_size=8, mode='pair')\n"
+        "assert len(search.run_search(config).certificates) == 1\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestTables:
     def test_nu_table(self, tmp_path, capsys):
         assert main(["nu", _write(tmp_path, "i.json", Z4_INSTANCE)]) == 0

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from fdual.abelian import (
     ElementSet,
     GroupSpec,
     PairingMatrix,
+    _is_int,
     automorphism_group,
     pairing_from_automorphism,
     standard_pairing,
@@ -24,6 +27,7 @@ from fdual.duality import (
     verify_certificate,
     weight_enumerator,
 )
+from fdual.primitivity import is_primitive
 
 from oracles import (
     char_sum,
@@ -32,6 +36,7 @@ from oracles import (
     oracle_neg,
     spectrum_entry,
     spectrum_entry_from_nu,
+    subgroup_oracle,
     translate,
 )
 
@@ -309,3 +314,67 @@ class TestCertificates:
         data["s"][1] = data["s"][0]  # duplicate collapses the set
         with pytest.raises(CertificateError, match="sizes disagree"):
             Certificate.from_dict(data)
+
+    def test_flags_match_is_primitive_and_are_checked(self):
+        # a subgroup H and its annihilator are a formally dual pair, neither
+        # primitive unless trivial; the flags come from the nu tables of the
+        # kernel run and must equal is_primitive, under any pairing, and a
+        # flipped flag is reported whether or not the check holds
+        rng = random.Random(331)
+        cases = [(Z4, [0, 1], [0, 1])]
+        for orders, gens in [((8,), [2]), ((2, 4), [1]), ((4, 4), [2, 8]), ((2, 2, 4), [1]), ((16,), [4])]:
+            spec = GroupSpec(orders)
+            cases.append((spec, sorted(subgroup_oracle(spec, gens)), None))
+        flags = set()
+        for spec, s_idx, t_idx in cases:
+            pairing = _random_pairing(rng, spec)
+            s = ElementSet.from_indices(s_idx)
+            if t_idx is None:
+                annihilator = (pairing.exponents(range(spec.order), s) == 0).all(axis=1)
+                t_idx = np.flatnonzero(annihilator).tolist()
+            t = ElementSet.from_indices(t_idx)
+            cert = make_certificate(spec, pairing, s, t=t)
+            assert (cert.s_primitive, cert.t_primitive) == (
+                is_primitive(spec, s).primitive, is_primitive(spec, t).primitive)
+            flags.add(cert.s_primitive)
+            flipped = dataclasses.replace(cert, t_primitive=not cert.t_primitive)
+            assert verify_certificate(flipped) == (False, ["recorded primitivity flag for T is wrong"])
+            outside = next(x for x in range(spec.order) if x not in t)
+            mutated = ElementSet.from_indices([*t.indices[:-1], outside])
+            broken = dataclasses.replace(cert, t=mutated, s_primitive=not cert.s_primitive,
+                                         t_primitive=not is_primitive(spec, mutated).primitive)
+            problems = verify_certificate(broken)[1]
+            assert problems[0].startswith("duality check failed: ")
+            assert problems[-2:] == ["recorded primitivity flag for S is wrong",
+                                     "recorded primitivity flag for T is wrong"]
+        assert flags == {True, False}
+
+
+class TestIntegerValidation:
+    """Bools are not integers anywhere a document holds one; numpy integers are."""
+
+    def test_is_int(self):
+        assert _is_int(3) and _is_int(np.int64(3)) and _is_int(np.uint8(0))
+        assert not any(map(_is_int, [True, False, np.bool_(True), 1.0, "1", None]))
+
+    def test_coordinates_and_pairing_entries(self):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            ElementSet.from_coords(Z4, [[0], [True]])
+        assert ElementSet.from_coords(Z4, [[np.int64(0)], [np.int64(3)]]).indices == (0, 3)
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="pairing entries must be integers"):
+                PairingMatrix(Z4, ((bad,),))
+        assert PairingMatrix(Z4, ((np.int64(1),),)) == standard_pairing(Z4)
+
+    def test_certificate_integers(self):
+        s = ElementSet.from_indices([0, 1])
+        data = make_certificate(Z4, standard_pairing(Z4), s, t=s).to_dict()
+        for field, value in [("s_size", True), ("t_size", False), ("nu_t", [True, 1, 0, 1]),
+                             ("spectrum", [4, 2, False, 2]), ("group", {"orders": [True]}),
+                             ("pairing", [[True]]), ("s", [[0], [True]])]:
+            with pytest.raises(ValueError):
+                Certificate.from_dict(dict(data, **{field: value}))
+        numpy_ints = dict(data, s_size=np.int64(2), nu_t=[np.int64(v) for v in data["nu_t"]],
+                          spectrum=[np.int64(v) for v in data["spectrum"]],
+                          pairing=[[np.int64(1)]], s=[[np.int64(0)], [np.int64(1)]])
+        assert verify_certificate(Certificate.from_dict(numpy_ints)) == (True, [])

@@ -4,11 +4,21 @@ import random
 
 import pytest
 
-from fdual.abelian import ElementSet, GroupSpec, automorphism_group
+import numpy as np
+
+from fdual.abelian import (
+    ElementSet,
+    GroupSpec,
+    automorphism_group,
+    pairing_from_automorphism,
+    standard_pairing,
+)
+from fdual.duality import _primitive_from_nu, weight_enumerator
 from fdual.primitivity import is_in_proper_coset, is_primitive, is_union_of_cosets
 
 from oracles import (
     abelian_group_orders,
+    every_subset_lattice_tables,
     in_proper_coset_oracle,
     map_set,
     oracle_add,
@@ -95,12 +105,17 @@ class TestInvariances:
 class TestAgainstSubgroupLattice:
     @pytest.mark.parametrize("orders", abelian_group_orders(8))
     def test_exhaustive_small_groups(self, orders):
+        # the nu-table flag of certificates, too, against both routes
         spec = GroupSpec(orders)
         n = spec.order
+        pairing = standard_pairing(spec)
         for bits in range(1, 1 << n):
             s = ElementSet(bits)
-            assert is_in_proper_coset(spec, s)[0] == in_proper_coset_oracle(spec, s)
-            assert is_union_of_cosets(spec, s)[0] == union_of_cosets_oracle(spec, s)
+            coset, union = in_proper_coset_oracle(spec, s), union_of_cosets_oracle(spec, s)
+            assert is_in_proper_coset(spec, s)[0] == coset
+            assert is_union_of_cosets(spec, s)[0] == union
+            flag = _primitive_from_nu(pairing, weight_enumerator(spec, s))
+            assert flag == is_primitive(spec, s).primitive == (not coset and not union)
 
     def test_witnesses_actually_witness(self):
         rng = random.Random(313)
@@ -120,3 +135,56 @@ class TestAgainstSubgroupLattice:
                 assert len(stab) > 1
                 for h in stab:
                     assert translate(spec, s, h) == s
+
+
+class TestPrimitivityFromNu:
+    """``duality._primitive_from_nu``, the flag certificates carry, decides
+    primitivity from nu_S and the pairing's annihilators alone."""
+
+    @pytest.mark.parametrize("orders", [(1,)] + abelian_group_orders(16), ids=str)
+    def test_every_subset_matches_lattice(self, orders):
+        # every nonempty subset, |G| = 1, |S| = 1 and S = G among them;
+        # is_primitive is compared on a sample (it costs about 150 us a set)
+        spec = GroupSpec(orders)
+        masks, nu, in_coset, union = every_subset_lattice_tables(spec)
+        distinct, inverse = np.unique(nu, axis=0, return_inverse=True)
+        pairing = standard_pairing(spec)
+        flags = np.array([_primitive_from_nu(pairing, row) for row in distinct])[inverse.ravel()]
+        assert flags.tolist() == (~in_coset & ~union).tolist()
+        assert not flags[masks == (1 << spec.order) - 1].any() or spec.order == 1
+        rng = random.Random(spec.order)
+        for i in rng.sample(range(len(masks)), min(len(masks), 150)):
+            s = ElementSet(int(masks[i]))
+            assert tuple(nu[i].tolist()) == weight_enumerator(spec, s)
+            assert is_primitive(spec, s).primitive == flags[i], (orders, s)
+
+    @pytest.mark.parametrize("orders", [(256,), (16, 16), (2, 2, 8, 8), (2, 4, 32), (3, 5, 9), (4, 4, 4)])
+    def test_random_and_coset_built_sets(self, orders):
+        # random sets are nearly all primitive; cosets, unions of cosets and
+        # sets inside a coset are not; any nondegenerate pairing gives the
+        # same flag
+        spec = GroupSpec(orders)
+        n = spec.order
+        rng = random.Random(n + len(orders))
+        tables = automorphism_group(spec)
+        pairings = [standard_pairing(spec)] + [
+            pairing_from_automorphism(standard_pairing(spec), tables[rng.randrange(len(tables))])
+            for _ in range(2)
+        ]
+        sets = [ElementSet.from_indices(rng.sample(range(n), rng.randint(1, n))) for _ in range(12)]
+        for g in rng.sample(range(1, n), 6):
+            cyclic = {int(spec.index_of(j * spec.coords[g])) for j in range(n)}
+            v = rng.randrange(n)
+            coset = [oracle_add(spec, x, v) for x in cyclic]
+            sets.append(ElementSet.from_indices(coset))
+            sets.append(ElementSet.from_indices(rng.sample(coset, max(1, len(coset) // 2))))
+            picks = rng.sample(range(n), 3)
+            sets.append(ElementSet.from_indices({oracle_add(spec, p, x) for p in picks for x in cyclic}))
+        sets += [ElementSet.from_indices([rng.randrange(n)]), ElementSet.from_indices(range(n))]
+        verdicts = set()
+        for s in sets:
+            expected = is_primitive(spec, s).primitive
+            nu = weight_enumerator(spec, s)
+            assert all(_primitive_from_nu(p, nu) == expected for p in pairings), (orders, s)
+            verdicts.add(expected)
+        assert verdicts == {True, False}

@@ -1,10 +1,12 @@
-"""The all-character exact spectrum kernel against the per-character route.
+"""The exact spectrum kernel against the per-character route.
 
-``duality`` reduces |chi_t(S)|^2 modulo Phi_m for every t at once through
-``cyclotomic.reduction_matrix``; ``tests/oracles.py`` keeps the route it
-replaced, ``norm_sq`` of one character sum at a time, and the old
-``check_pair`` loop over characters.  Residue rows, integer spectra and
-reports must agree exactly, however the characters are chunked.
+``duality`` reduces |chi_t(S)|^2 modulo Phi_m through
+``cyclotomic.reduction_matrix`` for one representative t of each Galois
+class {u*t : u a unit mod m} at once and spreads it to the class;
+``tests/oracles.py`` keeps the route it replaced, ``norm_sq`` of one
+character sum at a time, and the old ``check_pair`` loop over characters.
+Residue rows, integer spectra and reports must agree exactly, however the
+representatives are chunked.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fdual.abelian import (
     ElementSet,
     GroupSpec,
     automorphism_group,
+    galois_classes,
     pairing_from_automorphism,
     standard_pairing,
 )
@@ -37,7 +40,10 @@ def _padded(row, width):
 
 
 def _kernel_rows(spec, pairing, s):
-    return np.vstack([residues for _, residues in duality._residue_chunks(spec, pairing, s)])
+    """The kernel's residue rows of the class representatives."""
+    nu = duality._difference_counts(spec, s)
+    support = np.flatnonzero(nu)
+    return duality._residue_rows(pairing, support, nu[support], galois_classes(spec)[0])
 
 
 def _random_pairing(rng, spec):
@@ -74,12 +80,12 @@ class TestKernelAgainstOracle:
             s = ElementSet.from_indices(rng.sample(range(spec.order), rng.randint(1, spec.order)))
             pairing = standard_pairing(spec) if trial == 0 else _random_pairing(rng, spec)
             rows = _kernel_rows(spec, pairing, s)
-            assert rows.shape == (spec.order, width)
-            expected = []
-            for t in range(spec.order):
+            reps = galois_classes(spec)[0].tolist()
+            assert rows.shape == (len(reps), width)
+            for row, t in zip(rows, reps):
                 entry = spectrum_entry(spec, pairing, s, t)
-                assert tuple(rows[t].tolist()) == _padded(residue(entry), width), (orders, s.indices, t)
-                expected.append(as_integer(entry))
+                assert tuple(row.tolist()) == _padded(residue(entry), width), (orders, s.indices, t)
+            expected = [as_integer(spectrum_entry(spec, pairing, s, t)) for t in range(spec.order)]
             assert exact_spectrum(spec, pairing, s) == expected
 
     def test_integer_and_non_integer_entries_both_occur(self):
@@ -142,30 +148,36 @@ class TestCheckPairFailures:
 
     @pytest.mark.parametrize("where", ["every_row", "first_row", "last_row"])
     def test_report_matches_loop_across_chunk_boundaries(self, monkeypatch, where):
-        # t = 0 always holds (|chi_0(S)|^2 = |S|^2, nu_T(0) = |T|), and by
-        # Parseval a single failing t is impossible, so the first failure is
-        # never the group's first or last row; the chunk size is set so that
-        # it is the first row of the second chunk, the last row of the first
-        # chunk, or a chunk of its own.
+        # The walk is over class representatives: it is complete once the
+        # last representative not above the first failing t is in, at row
+        # `last` of the representatives.  t = 0 always holds
+        # (|chi_0(S)|^2 = |S|^2, nu_T(0) = |T|), so `last` >= 1; the chunk
+        # size, in representative rows, is set so that row `last` is the
+        # first row of the second chunk, the last row of the first chunk,
+        # or a chunk of its own.
         for spec, pairing, s, t in FAILING:
             expected = check_pair_loop(spec, pairing, s, t)
             failing = expected.first_failure.index
-            rows = {"every_row": 1, "first_row": failing, "last_row": failing + 1}[where]
+            reps = galois_classes(spec)[0]
+            last = int(np.searchsorted(reps, failing, side="right")) - 1
+            assert last >= 1
+            rows = {"every_row": 1, "first_row": last, "last_row": last + 1}[where]
             monkeypatch.setattr(duality, "_CHUNK_ENTRIES", rows * _support_width(spec, s))
             starts = []
             chunks = duality._residue_chunks
 
             def recording(*args):
-                for start, residues in chunks(*args):
-                    starts.append(start)
-                    yield start, residues
+                for chunk in chunks(*args):
+                    starts.append(chunk[0])
+                    yield chunk
 
             monkeypatch.setattr(duality, "_residue_chunks", recording)
             assert check_pair(spec, pairing, s, t) == expected
-            # the walk stopped at the chunk holding the first failure
-            assert starts[-1] <= failing < starts[-1] + rows
+            # the walk stopped at the chunk holding row `last`
+            assert starts == list(range(0, starts[-1] + 1, rows))
+            assert starts[-1] <= last < starts[-1] + rows
             if where == "first_row":
-                assert starts[-1] == failing
+                assert starts[-1] == last
             monkeypatch.setattr(duality, "_residue_chunks", chunks)
 
     def test_certificate_problems_from_one_kernel_run(self):
