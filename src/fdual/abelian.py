@@ -84,10 +84,9 @@ class GroupSpec:
         Group arithmetic on indices is arithmetic on these rows followed by
         :meth:`index_of`, which reduces: ``index_of(coords[a] - coords[b])``
         is the index of a - b, for single indices and index arrays alike.
+        Equal specs share one array.
         """
-        out = np.array(list(self.elements()), dtype=np.int64)
-        out.setflags(write=False)
-        return out
+        return _coords(self)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -145,6 +144,14 @@ class GroupSpec:
         if not all(map(_is_int, orders)):
             raise ValueError("group orders must be integers")
         return cls(tuple(orders))
+
+
+@lru_cache(maxsize=None)
+def _coords(spec: GroupSpec) -> np.ndarray:
+    """``GroupSpec.coords``, built once per value of the orders."""
+    out = np.array(list(spec.elements()), dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 class ElementSet:
@@ -317,13 +324,20 @@ class PairingMatrix:
 
     @cached_property
     def is_nondegenerate(self) -> bool:
-        """True iff x -> B(x, .) has trivial kernel.  B against the generators
-        suffices, and B(x, e_j) is column j of x M."""
-        against_gens = (self.spec.coords @ self._matrix) % self.spec.exponent
-        return not (against_gens[1:] == 0).all(axis=1).any()
+        """True iff x -> B(x, .) has trivial kernel; decided once per value
+        of (orders, entries)."""
+        return _nondegenerate(self)
 
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
+
+
+@lru_cache(maxsize=None)
+def _nondegenerate(pairing: PairingMatrix) -> bool:
+    """``PairingMatrix.is_nondegenerate``.  B against the generators
+    suffices, and B(x, e_j) is column j of x M."""
+    against_gens = (pairing.spec.coords @ pairing._matrix) % pairing.spec.exponent
+    return not (against_gens[1:] == 0).all(axis=1).any()
 
 
 def standard_pairing(spec: GroupSpec) -> PairingMatrix:

@@ -354,7 +354,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--size", required=True, type=int)
     p.add_argument("--mode", default="pair", choices=["pair", "self_dual", "self-dual"])
     p.add_argument("--symmetry", default="affine", choices=["none", "translation", "affine"])
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: env FD_THREADS, else 1)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes, started once the measured work left outweighs "
+                   "a pool (default: env FD_THREADS, else 1)")
     p.add_argument("--budget", default=None, help="node limit, e.g. 10^6")
     p.add_argument("--frontier-depth", type=int, default=None)
     p.add_argument("--checkpoint", default=None)

@@ -32,6 +32,14 @@ verdicts of the full screen bit for bit.  Survivors are canonically gated,
 then handed to the exact leaf test.  Every emitted certificate has passed
 the exact integer check and primitivity for both sets.
 
+Frontier tasks run in chunks of consecutive tasks, one task first and then
+about _CHUNK_SECONDS of work at the measured task time.  A chunk's tasks
+that share a parent of depth at least size - 4 are walked as one batch from
+that parent.  A run stays in its own process until the measured work left
+outweighs starting a pool, and then hands the rest to ``jobs`` worker
+processes.  A checkpoint is written at most once per _CHUNK_SECONDS and on
+every exit, so a killed run loses about that much work per process.
+
 Budget stops are loud: a budget-terminated run is flagged incomplete and
 never claims non-existence.
 """
@@ -39,6 +47,7 @@ never claims non-existence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -527,8 +536,11 @@ def _cut(costs: np.ndarray, budget: _Budget | None) -> tuple[np.ndarray, bool]:
 
 
 # a batch walks its inner nodes in blocks of consecutive DFS order whose
-# node arrays hold about _BATCH_ENTRIES entries (up to a row's children more)
+# node arrays hold about _BATCH_ENTRIES entries (up to a row's children
+# more), or _BUDGET_ENTRIES under a budget, which the block that spends it
+# expands past its end at most
 _BATCH_ENTRIES = 1 << 17
+_BUDGET_ENTRIES = 1 << 14
 
 
 def _batch(
@@ -543,6 +555,7 @@ def _batch(
     depth: np.ndarray | None = None,
     ok: np.ndarray | None = None,
     level: int = 1,
+    own: int = 0,
 ) -> bool:
     """The last size - len(node) <= 4 levels below a node as one batch;
     returns False when the budget ran out.
@@ -550,49 +563,62 @@ def _batch(
     Row i of ``rows`` is node[-1] and then the elements of the inner node
     node + rows[i, 1 : depth[i] + 1] below the node, padded with its last
     element, and ``ok`` says whether it is canonical; row 0 is the node
-    itself.  Each level inserts the children of the
-    canonical rows of the level above after them, in DFS order, and one
-    canonicity walk gates them: only those whose position (counting one
-    unit per inner node before it) is below the budget, which is all any
-    cut can reach.  A node costs one unit, plus one per leaf below it when
-    it is canonical and at depth size - 1.  One cut of those costs at the
-    budget gives every count, and the leaves it allows are tested as one
-    run per parent (``_test_leaves``).  A level that would outgrow
-    ``_BATCH_ENTRIES`` is walked, with the levels below it, in consecutive
-    blocks of the rows above it, each cut in turn.
+    itself.  Rows of depth at most ``own`` were counted by the caller (the
+    node itself, or the sibling tasks ``_run_task`` starts a batch from).
+    Each level inserts the children of the canonical rows of the level
+    above after them, in DFS order, and one canonicity walk gates them.
+    Under a budget a level keeps only the places below it, counting one
+    unit per inner node before a place: no cut reaches a later one, and a
+    batch that leaves rows out is unfinished.  A node costs one unit, plus
+    one per leaf below it when it is canonical and at depth size - 1.  One
+    cut of those costs at the budget gives every count, and the leaves it
+    allows are tested as one run per parent (``_test_leaves``).  A level
+    that would outgrow ``_BATCH_ENTRIES`` (``_BUDGET_ENTRIES`` under a
+    budget) is walked, with the levels below it, in consecutive blocks of
+    the rows above it, each cut in turn.
     """
     n, levels = ctx.n, config.target_size - len(node)
     if rows is None:
         rows, depth, ok = np.full((1, levels), node[-1]), np.zeros(1, int), np.ones(1, bool)
+    entries = _BATCH_ENTRIES if budget is None else min(_BATCH_ENTRIES, _BUDGET_ENTRIES)
+    truncated = False
     for level in range(level, levels):
         # a row at depth level - 1 with last element a has the children
         # a + 1, ..., n - 1 - (levels - level), leaving room for the rest
         per = np.where(ok & (depth == level - 1), n - levels + level - 1 - rows[:, -1], 0) + 1
         start = np.cumsum(per) - per
-        cuts = np.flatnonzero(np.diff(start // max(1, _BATCH_ENTRIES // levels))) + 1
+        if budget is not None:
+            # the row at place p of the level has at least p - (rows of
+            # depth <= own) inner nodes before it, so from place ``reach``
+            # on no cut reaches a row; leave those rows out (but one)
+            reach = max(1, budget.remaining + int(np.count_nonzero(depth <= own)))
+            if start[-1] + per[-1] > reach:
+                keep = start < reach
+                rows, depth, ok, start = rows[keep], depth[keep], ok[keep], start[keep]
+                per, truncated = np.minimum(per[keep], reach - start), True
+        cuts = np.flatnonzero(np.diff(start // max(1, entries // levels))) + 1
         if len(cuts):
             for part in zip(np.split(rows, cuts), np.split(depth, cuts), np.split(ok, cuts)):
-                if not _batch(config, ctx, node, char_partial, stats, budget, hits, *part, level):
+                if not _batch(config, ctx, node, char_partial, stats, budget, hits, *part,
+                              level, own):
                     return False
-            return True
+            return not truncated
         parent = np.repeat(np.arange(len(per)), per)
         offset = np.arange(len(parent)) - start[parent]
         rows, depth, ok = rows[parent], depth[parent], ok[parent]
         rows[:, level:] += offset[:, None]
         new = offset > 0
         depth[new] = level
-        walk = new if budget is None else new & (np.cumsum(depth > 0) <= budget.remaining)
-        ok[new] = False
-        ok[walk] = _canonical_mask(config, ctx, node, rows[walk, 1 : level + 1])
+        ok[new] = _canonical_mask(config, ctx, node, rows[new, 1 : level + 1])
     parents = ok & (depth == levels - 1)
-    inner = (depth > 0).astype(np.intp)
+    inner = (depth > own).astype(np.intp)
     allowed, finished = _cut(inner + np.where(parents, n - 1 - rows[:, -1], 0), budget)
     stats.nodes_visited += int(allowed.sum())
     stats.pruned_by_symmetry += int(np.count_nonzero((allowed > 0) & ~ok))
     leafy = parents & (allowed > inner)
     runs = np.column_stack((rows[leafy, 1:], rows[leafy, -1] + 1))
     _test_leaves(config, ctx, node, char_partial, runs, allowed[leafy] - inner[leafy], stats, hits)
-    return finished
+    return finished and not truncated
 
 
 def _descend(
@@ -632,33 +658,52 @@ def _descend(
 
 
 def _run_task(
-    config: SearchConfig, task: tuple[int, ...], budget: _Budget | None
+    config: SearchConfig, tasks: list[tuple[int, ...]], budget: _Budget | None
 ) -> tuple[SearchStats, list[Certificate], bool]:
-    """Execute one frontier task; returns (stats, hits, finished)."""
+    """Execute one frontier task, or consecutive sibling tasks as one walk;
+    returns (stats, hits, finished) for them together.
+
+    One task is walked below itself (``_descend``).  Siblings, whose parent
+    P has depth at least size - 4, are the level-1 rows of one batch from P
+    (``_batch``): they are canonical and the frontier counted them, so the
+    batch neither walks nor counts them.
+    """
     ctx = _context(config.spec)
     stats = SearchStats()
     hits: list[Certificate] = []
-    char_partial = ctx.char_matrix[:, list(task)].sum(axis=1)
-    finished = _descend(config, ctx, list(task), char_partial, stats, budget, hits)
+    node = list(tasks[0] if len(tasks) == 1 else tasks[0][:-1])
+    char_partial = ctx.char_matrix[:, node].sum(axis=1)
+    if len(tasks) == 1:
+        finished = _descend(config, ctx, node, char_partial, stats, budget, hits)
+    else:
+        rows = np.repeat([[task[-1]] for task in tasks], config.target_size - len(node), axis=1)
+        rows[:, 0] = node[-1]
+        finished = _batch(config, ctx, node, char_partial, stats, budget, hits,
+                          rows, np.ones(len(tasks), int), np.ones(len(tasks), bool), 2, 1)
     return stats, hits, finished
 
 
-def _pool_worker(
-    config: SearchConfig, task: tuple[int, ...]
-) -> tuple[SearchStats, list[Certificate], bool]:
-    return _run_task(config, task, None)
+# (tasks, stats, hits, finished) for each run of siblings of a chunk, in order
+_Chunk = list[tuple[list[tuple[int, ...]], SearchStats, list[Certificate], bool]]
 
 
-# (task, stats, hits, finished) for each task of a chunk, in order
-_Batch = list[tuple[tuple[int, ...], SearchStats, list[Certificate], bool]]
+def _run_chunk(
+    config: SearchConfig, tasks: list[tuple[int, ...]], budget: _Budget | None
+) -> _Chunk:
+    """Run consecutive tasks, each run of siblings as one ``_run_task``.
+    Tasks are siblings when they share a parent of depth at least
+    max(1, size - 4), which holds for all or none of a frontier's tasks."""
+    together = config.frontier_depth > max(1, config.target_size - 4)
+    runs = itertools.groupby(tasks, (lambda task: task[:-1]) if together else (lambda task: task))
+    return [(run, *_run_task(config, run, budget)) for run in (list(group) for _, group in runs)]
 
 
-def _pool_chunk(config: SearchConfig, tasks: list[tuple[int, ...]]) -> tuple[_Batch, float]:
-    """Run consecutive tasks in one pool worker: (task, stats, hits,
-    finished) for each, and the seconds they took together."""
+def _pool_chunk(config: SearchConfig, tasks: list[tuple[int, ...]]) -> tuple[_Chunk, float]:
+    """A pool worker's entry: ``_run_chunk`` without a budget, and the
+    seconds it took."""
     started = time.perf_counter()
-    results = [(task, *_pool_worker(config, task)) for task in tasks]
-    return results, time.perf_counter() - started
+    chunk = _run_chunk(config, tasks, None)
+    return chunk, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -753,15 +798,15 @@ def _resume_from(
 # ---------------------------------------------------------------------------
 
 
-# seconds of work per pool chunk once task times are known: about what a
-# killed run loses per worker
+# seconds of work per chunk once task times are known: about what a killed
+# run loses per process, and the least time between two checkpoint writes
 _CHUNK_SECONDS = 0.05
 
 
 def _chunk_size(queued: int, slots: int, ran: int, busy: float) -> int:
-    """Tasks in the next pool chunk: one until a task time is known, then
-    about _CHUNK_SECONDS of work at the mean time of the ``ran`` tasks run
-    in ``busy`` seconds, at least one and at most 1/slots of the ``queued``
+    """Tasks in the next chunk: one until a task time is known, then about
+    _CHUNK_SECONDS of work at the mean time of the ``ran`` tasks run in
+    ``busy`` seconds, at least one and at most 1/slots of the ``queued``
     tasks, so that the workers run out of work together."""
     if not ran:
         return 1
@@ -769,24 +814,43 @@ def _chunk_size(queued: int, slots: int, ran: int, busy: float) -> int:
     return max(1, min(fit, queued // slots))
 
 
+def _in_process(queued: int, ran: int, busy: float) -> bool:
+    """Whether the next chunk runs in this process rather than in a pool:
+    until a task time is known, and while the ``queued`` tasks, at the mean
+    time of the ``ran`` tasks run in ``busy`` seconds, are at most one
+    chunk (_CHUNK_SECONDS) of work, less than a pool costs to start."""
+    return not ran or queued * busy <= _CHUNK_SECONDS * ran
+
+
 def _task_results(
     config: SearchConfig, pending: list[tuple[int, ...]], budget: _Budget | None, jobs: int
-) -> Iterator[_Batch]:
-    """Batches of (task, stats, hits, finished), one entry per pending task.
+) -> Iterator[_Chunk]:
+    """The pending tasks' results in chunks (``_run_chunk``), each chunk
+    consecutive tasks of the queue.
 
-    With a budget or one job the tasks run here in order, one per batch,
-    until the budget is spent, so the stop point is deterministic.
-    Otherwise a pool of ``jobs`` worker processes runs chunks of
-    consecutive tasks (``_chunk_size``), 2 * jobs of them in flight, and
-    each chunk is a batch as soon as its worker finishes it.
+    With a budget the tasks run here in order, one per chunk, until the
+    budget is spent, so the stop point is deterministic.  Otherwise chunks
+    of ``_chunk_size`` run here, with one job to the end and with more while
+    ``_in_process`` holds; then a pool of ``jobs`` worker processes runs
+    the rest, 2 * jobs chunks in flight, and yields each chunk as soon as
+    its worker finishes it.
     """
-    if budget is not None or jobs == 1:
+    if budget is not None:
         for task in pending:
-            if budget is not None and budget.remaining <= 0:
+            if budget.remaining <= 0:
                 return
-            yield [(task, *_run_task(config, task, budget))]
+            yield _run_chunk(config, [task], budget)
         return
-    slots, start, ran, busy = 2 * jobs, 0, 0, 0.0
+    start, ran, busy = 0, 0, 0.0
+    while start < len(pending) and (jobs == 1 or _in_process(len(pending) - start, ran, busy)):
+        stop = start + _chunk_size(len(pending) - start, jobs, ran, busy)
+        began = time.perf_counter()
+        chunk = _run_chunk(config, pending[start:stop], None)
+        ran, busy, start = ran + stop - start, busy + time.perf_counter() - began, stop
+        yield chunk
+    if start == len(pending):
+        return
+    slots = 2 * jobs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         running: set = set()
         while start < len(pending) or running:
@@ -796,18 +860,19 @@ def _task_results(
                 start = stop
             finished, running = wait(running, return_when=FIRST_COMPLETED)
             for fut in finished:
-                batch, seconds = fut.result()
-                ran, busy = ran + len(batch), busy + seconds
-                yield batch
+                chunk, seconds = fut.result()
+                ran, busy = ran + sum(len(tasks) for tasks, *_ in chunk), busy + seconds
+                yield chunk
 
 
 def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
     """Run the configured search to completion, budget stop, or resume point.
 
-    With a checkpoint path, completed tasks are persisted after each batch
-    of tasks that ``_task_results`` delivers (one task in process, one chunk
-    from the pool) and skipped on resume; the final hit list and per-task
-    statistics are identical to an uninterrupted run.
+    With a checkpoint path, completed tasks are persisted at most once per
+    _CHUNK_SECONDS, after a chunk that ``_task_results`` delivers, and on
+    every exit (completion, budget stop, a dead worker), and are skipped on
+    resume; the final hit list and per-task statistics are identical to an
+    uninterrupted run.
     """
     started = time.monotonic()
     if jobs < 1:
@@ -837,8 +902,14 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
             "be reported separately"
         )
 
-    def persist() -> None:
-        if config.checkpoint_path:
+    # the tasks the checkpoint holds (-1 before it is first written), and when
+    saved, saved_at = (len(done) if resumed else -1), time.monotonic()
+
+    def persist(every: float = 0.0) -> None:
+        """Write the checkpoint if it lacks finished tasks and was written
+        ``every`` seconds ago or more."""
+        nonlocal saved, saved_at
+        if config.checkpoint_path and len(done) > saved and time.monotonic() - saved_at >= every:
             checkpoint_save(
                 config.checkpoint_path,
                 CheckpointRecord(
@@ -848,17 +919,17 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
                     hits=hits,
                 ),
             )
+            saved, saved_at = len(done), time.monotonic()
 
     # write the (possibly empty) state up front so even a run stopped before
     # the first task completes leaves a resumable checkpoint behind; a
     # checkpoint just resumed from already holds it
-    if not resumed:
-        persist()
+    persist()
 
     pending = [t for t in tasks if t not in done]
     try:
-        for batch in _task_results(config, pending, budget, jobs):
-            for task, stats, certs, finished in batch:
+        for chunk in _task_results(config, pending, budget, jobs):
+            for group, stats, certs, finished in chunk:
                 if not finished:
                     # partial work is reported but never persisted: resume must
                     # redo the task in full to match an uninterrupted run
@@ -866,17 +937,18 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
                     continue
                 completed_stats.merge_counts(stats)
                 hits.extend(certs)
-                done.add(task)
-            if finished:  # else the batch was the one task the budget cut short
-                persist()
+                done.update(group)
+            persist(_CHUNK_SECONDS)
     except BrokenProcessPool as exc:
-        saved = (
+        persist()
+        saved_note = (
             f"{len(done)} of {len(tasks)} tasks are saved in checkpoint "
             f"{config.checkpoint_path}; rerun with it to resume"
             if config.checkpoint_path
             else "no checkpoint was given, so no finished task is saved"
         )
-        raise WorkerDied(f"a search worker process died: {saved}") from exc
+        raise WorkerDied(f"a search worker process died: {saved_note}") from exc
+    persist()
 
     total = SearchStats(elapsed=time.monotonic() - started)
     total.merge_counts(unsaved)

@@ -67,6 +67,13 @@ class TestGroupSpec:
         a = Z2Z4.index_of((1, 2))
         assert Z2Z4.index_of(Z2Z4.coords[a] + np.array(Z2Z4.zero())) == a
 
+    def test_equal_specs_share_coords(self):
+        a, b = GroupSpec((2, 4)), GroupSpec((2, 4))
+        assert a is not b and a.coords is b.coords
+        assert not a.coords.flags.writeable
+        assert a.coords.tolist() == [list(e) for e in a.elements()]
+        assert GroupSpec((8,)).coords is not a.coords
+
     def test_mixed_radix_indexing(self):
         # last coordinate varies fastest: (1,2) -> 1*4 + 2
         assert Z2Z4.index_of((1, 2)) == 6
@@ -204,6 +211,26 @@ class TestPairing:
         z2 = GroupSpec((2,))
         assert not PairingMatrix(z2, ((0,),)).is_nondegenerate
         assert not PairingMatrix(Z4, ((2,),)).is_nondegenerate
+
+    @pytest.mark.parametrize("orders", [(2, 4), (4, 4), (2, 2, 2), (2, 6)])
+    def test_nondegeneracy_matches_kernel_scan(self, orders):
+        # every well-defined matrix: degenerate iff some x != 0 pairs to 0
+        # with every y, and an equal pairing built again agrees
+        spec = GroupSpec(orders)
+        entries = itertools.product(range(spec.exponent), repeat=spec.rank ** 2)
+        verdicts = set()
+        for flat in entries:
+            rows = tuple(tuple(flat[i * spec.rank:(i + 1) * spec.rank]) for i in range(spec.rank))
+            try:
+                pairing = PairingMatrix(spec, rows)
+            except ValueError:
+                continue
+            scan = pairing.exponents(range(spec.order), range(spec.order))
+            verdict = not (scan[1:] == 0).all(axis=1).any()
+            assert pairing.is_nondegenerate == verdict, rows
+            assert PairingMatrix(GroupSpec(orders), rows).is_nondegenerate == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_ill_defined_rejected(self):
         # Z2 x Z4 with exponent 4: entry 1 in the Z2 row is not well-defined

@@ -29,6 +29,7 @@ from fdual.duality import (
     weight_enumerator,
 )
 from fdual.primitivity import is_in_proper_coset, is_union_of_cosets
+from fdual import search
 from fdual.search import SearchConfig, pair_leaf_test, run_search, self_dual_leaf_test
 
 from conftest import ORDER64_ORDERS, ORDER64_PAIRING_ROWS, ORDER64_S_COORDS
@@ -235,11 +236,14 @@ def test_criterion_5_property_suites():
     print("ACCEPTANCE 5 PASS: nu, Parseval, equivalence, primitivity, affine-invariance, Phi suites")
 
 
-def test_criterion_6_determinism_and_resume(tmp_path):
+def test_criterion_6_determinism_and_resume(tmp_path, monkeypatch):
     """Z2 x Z8 size 4: worker count does not change results, and an
     interrupted-and-resumed run equals an uninterrupted one."""
     base = dict(spec=GroupSpec((2, 8)), target_size=4, mode="pair",
                 symmetry="affine", frontier_depth=2)
+    # four pool workers from the first task on, not a search this small
+    # kept in-process
+    monkeypatch.setattr(search, "_in_process", lambda queued, ran, busy: False)
     one = run_search(SearchConfig(**base), jobs=1)
     four = run_search(SearchConfig(**base), jobs=4)
     assert one.complete and four.complete

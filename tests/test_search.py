@@ -61,14 +61,20 @@ Z22 = GroupSpec((2, 2))
 Z2Z8 = GroupSpec((2, 8))
 
 
-_POOL_WORKER = search._pool_worker
+_POOL_CHUNK = search._pool_chunk
 _DOOMED_TASK = None  # set by a test; forked pool workers inherit it
 
 
-def _worker_dying_on_doomed_task(config, task):
-    if task == _DOOMED_TASK:
+def _chunk_dying_on_doomed_task(config, tasks):
+    if _DOOMED_TASK in tasks:
         os._exit(1)
-    return _POOL_WORKER(config, task)
+    return _POOL_CHUNK(config, tasks)
+
+
+def _force_pool(monkeypatch):
+    """Start the pool before the first task, whatever the task times: the
+    chunk schedule of a run that has measured nothing yet."""
+    monkeypatch.setattr(search, "_in_process", lambda queued, ran, busy: False)
 
 
 def _classes(spec, certs):
@@ -216,7 +222,7 @@ class TestLeafTests:
         canon = affine_canonical_form(order64_spec, order64_set).indices
         cfg = SearchConfig(spec=order64_spec, target_size=8, mode="self_dual",
                            symmetry="affine", frontier_depth=2)
-        stats, hits, finished = _run_task(cfg, canon[:6], None)
+        stats, hits, finished = _run_task(cfg, [canon[:6]], None)
         assert finished
         assert canon in {affine_canonical_form(order64_spec, c.s).indices for c in hits}
 
@@ -373,8 +379,8 @@ class TestPaperResults:
               f"{len(result.certificates)} orbit classes")
 
     def test_z8x8_size8_pair_nonexistence(self):
-        # the paper's second result, through the process pool: Z8^2 has no
-        # primitive formally dual 8-set.  The node count is reported, not
+        # the paper's second result, with two jobs: Z8^2 has no primitive
+        # formally dual 8-set.  The node count is reported, not
         # gated, so a pruning gain stays legal.
         cfg = SearchConfig(spec=GroupSpec((8, 8)), target_size=8, mode="pair",
                            symmetry="affine", frontier_depth=4)
@@ -525,7 +531,8 @@ class TestScreenSoundness:
 
 
 class TestDeterminismAndParallelism:
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        _force_pool(monkeypatch)
         cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
         one = run_search(cfg, jobs=1)
         four = run_search(cfg, jobs=4)
@@ -537,7 +544,8 @@ class TestDeterminismAndParallelism:
         d1.pop("elapsed"), d4.pop("elapsed")
         assert d1 == d4
 
-    def test_hits_found_in_parallel_mode(self):
+    def test_hits_found_in_parallel_mode(self, monkeypatch):
+        _force_pool(monkeypatch)
         spec = GroupSpec((4, 4))
         cfg = SearchConfig(spec=spec, target_size=4, mode="pair", symmetry="affine", frontier_depth=2)
         one = run_search(cfg, jobs=1)
@@ -546,8 +554,9 @@ class TestDeterminismAndParallelism:
         for cert in four.certificates:
             assert verify_certificate(cert)[0]
 
-    def test_pool_hits_equal_in_process_hits(self):
+    def test_pool_hits_equal_in_process_hits(self, monkeypatch):
         # certificates come back from the workers pickled, not as dicts
+        _force_pool(monkeypatch)
         for mode in ("pair", "self_dual"):
             cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode=mode, symmetry="affine")
             one, pooled = run_search(cfg, jobs=1), run_search(cfg, jobs=2)
@@ -610,18 +619,93 @@ class TestPoolChunks:
         assert search._chunk_size(100, 4, 1, 10.0) == 1  # a long task goes alone
         assert search._chunk_size(3, 4, 100, 0.01) == 1
 
+    def test_in_process_rule(self):
+        assert search._in_process(100, 0, 0.0)  # no task time yet: run one here
+        assert search._in_process(4, 10, 0.1)  # 40 ms left at 10 ms a task
+        assert not search._in_process(6, 10, 0.1)  # 60 ms left: more than a chunk
+        assert search._in_process(1000, 10, 0.0)  # tasks too fast to time
+        assert not search._in_process(1, 1, 10.0)  # a long task left
+        assert search._in_process(0, 1, 10.0)  # nothing left
+
+    def test_small_parallel_search_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        for orders, size, mode in (((2, 8), 4, "pair"), ((4, 4), 4, "self_dual")):
+            cfg = SearchConfig(spec=GroupSpec(orders), target_size=size, mode=mode,
+                               symmetry="affine", frontier_depth=size - 1)
+            one, two = run_search(cfg, jobs=1), run_search(cfg, jobs=2)
+            assert one.complete and two.complete and len(enumerate_tasks(cfg)) > 1
+            assert _counts(two.stats) == _counts(one.stats)
+            assert list(map(_without_timestamp, two.certificates)) == list(
+                map(_without_timestamp, one.certificates))
+
+    @pytest.mark.parametrize("orders,size,mode,entries", [
+        ((7, 7), 7, "self_dual", None),
+        ((49,), 7, "self_dual", None),
+        ((2, 8), 4, "pair", None),
+        ((2, 4, 4), 8, "pair", None),
+        ((2, 8), 4, "pair", 8),
+        ((2, 4, 4), 8, "pair", 8),
+    ])
+    def test_every_depth_and_job_count_equals_depth_one(self, monkeypatch, orders, size, mode,
+                                                         entries):
+        # sibling tasks walked as one batch, in this process or in the pool,
+        # count and find what the one task at depth 1 does, also when blocks
+        # of 2 rows split the batches of siblings
+        if entries:
+            monkeypatch.setattr(search, "_BATCH_ENTRIES", entries)
+
+        def outcome(depth, jobs):
+            result = run_search(SearchConfig(spec=GroupSpec(orders), target_size=size, mode=mode,
+                                             symmetry="affine", frontier_depth=depth), jobs=jobs)
+            return (_counts(result.stats), result.complete,
+                    list(map(_without_timestamp, result.certificates)))
+
+        reference = outcome(1, 1)
+        assert reference[1] and reference[0]["leaves_tested"] > 0
+        for depth in range(1, size):
+            for jobs in (1, 2):
+                assert outcome(depth, jobs) == reference, (depth, jobs)
+
+    @pytest.mark.parametrize("name", sorted(MANY_TASKS))
+    def test_in_process_checkpoint_cadence(self, name, tmp_path, monkeypatch):
+        # one process writes the checkpoint at most once per _CHUNK_SECONDS,
+        # besides the first and the last write, and the last holds every task
+        base = MANY_TASKS[name]
+        tasks = enumerate_tasks(SearchConfig(**base))
+        written = []
+
+        def counting_save(path, record):
+            written.append(len(record.completed))
+            checkpoint_save(path, record)
+
+        monkeypatch.setattr(search, "checkpoint_save", counting_save)
+        path = str(tmp_path / "ck.json")
+        started = time.monotonic()
+        result = run_search(SearchConfig(**base, checkpoint_path=path), jobs=1)
+        elapsed = time.monotonic() - started
+        assert result.complete
+        assert len(written) <= elapsed / search._CHUNK_SECONDS + 2, (written, elapsed)
+        assert written[0] == 0 and written[-1] == len(tasks)
+        assert _load_checkpoint(path).completed == tasks
+
     def test_chunks_are_consecutive_runs_of_the_queue(self, monkeypatch):
         monkeypatch.setattr(search, "_CHUNK_SECONDS", 1e9)
+        _force_pool(monkeypatch)
         cfg = SearchConfig(**MANY_TASKS["Z49"])
         tasks = enumerate_tasks(cfg)
-        batches = [[row[0] for row in batch] for batch in search._task_results(cfg, tasks, None, 2)]
+        batches = [[task for group, *_ in chunk for task in group]
+                   for chunk in search._task_results(cfg, tasks, None, 2)]
         got = sorted((tasks.index(b[0]), tasks.index(b[0]) + len(b)) for b in batches)
         assert got == _queue_bound_chunks(len(tasks), 2)
         assert sorted(t for b in batches for t in b) == tasks
         assert all(b == tasks[tasks.index(b[0]):tasks.index(b[0]) + len(b)] for b in batches)
 
     @pytest.mark.parametrize("name", sorted(MANY_TASKS))
-    def test_chunked_pool_equals_in_process(self, name):
+    def test_chunked_pool_equals_in_process(self, name, monkeypatch):
+        _force_pool(monkeypatch)
         cfg = SearchConfig(**MANY_TASKS[name])
         assert len(enumerate_tasks(cfg)) >= 50
         one, two = run_search(cfg, jobs=1), run_search(cfg, jobs=2)
@@ -642,6 +726,7 @@ class TestPoolChunks:
             checkpoint_save(path, record)
 
         monkeypatch.setattr(search, "checkpoint_save", counting_save)
+        _force_pool(monkeypatch)
         path = str(tmp_path / "ck.json")
         result = run_search(SearchConfig(**base, checkpoint_path=path), jobs=2)
         assert result.complete
@@ -780,8 +865,10 @@ class TestBatchedWalk:
     def test_four_level_batch_memory(self):
         # a size-8 translation search of Z256 stops at a 200,000-node budget
         # inside its first batch, whose four levels below a node of depth 4
-        # hold up to C(252, 3) great-grandchildren; walked in blocks, it
-        # grows the peak RSS of a fresh interpreter by under 16 MB
+        # hold up to C(252, 3) great-grandchildren; walked in blocks no
+        # larger under a budget than _BUDGET_ENTRIES, none expanded past the
+        # budget's reach, it grows the peak RSS of a fresh interpreter by
+        # under 1 MB
         code = (
             "import resource\n"
             "from fdual.abelian import GroupSpec\n"
@@ -801,7 +888,7 @@ class TestBatchedWalk:
         assert proc.returncode == 0, proc.stderr
         base_kb, peak_kb, nodes, complete = map(int, proc.stdout.split())
         assert nodes == 200_000 and not complete
-        assert (peak_kb - base_kb) * 1024 < 16 << 20
+        assert (peak_kb - base_kb) * 1024 < 1 << 20
 
     def test_screen_in_many_chunks(self, monkeypatch):
         # a node's leaf pairs (up to 91) span many chunks of 3
@@ -1211,7 +1298,8 @@ class TestCheckpointing:
         if where == "mid_chunk":
             chunk = next(c for c in _queue_bound_chunks(len(tasks), 2) if c[0] < doomed < c[1] - 1)
         monkeypatch.setattr(sys.modules[__name__], "_DOOMED_TASK", tasks[doomed])
-        monkeypatch.setattr(search, "_pool_worker", _worker_dying_on_doomed_task)
+        monkeypatch.setattr(search, "_pool_chunk", _chunk_dying_on_doomed_task)
+        _force_pool(monkeypatch)
         path = str(tmp_path / "ck.json")
         argv = ["search", *args, "--symmetry", "affine", "--jobs", "2", "--out", str(tmp_path / "out")]
         code = main(argv + (["--checkpoint", path] if checkpointed else []))
