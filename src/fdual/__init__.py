@@ -3,10 +3,10 @@ in finite abelian groups.
 
 Modules by responsibility:
 
-* ``abelian``     -- group arithmetic, subgroups, pairings, automorphisms
+* ``abelian``     -- group arithmetic, difference counts, pairings, automorphisms
 * ``cyclotomic``  -- exact root-of-unity arithmetic (the integer backbone)
 * ``duality``     -- weight enumerators, character spectra, pair checking
-* ``primitivity`` -- coset and stabilizer conditions for primitive sets
+* ``primitivity`` -- primitivity from nu_S and pairing annihilators, with witnesses
 * ``search``      -- exhaustive tree search with symmetry reduction
 * ``cli``         -- the ``fdual`` command line tool
 """

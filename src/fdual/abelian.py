@@ -234,45 +234,11 @@ class ElementSet:
         return f"ElementSet({{{', '.join(map(str, self))}}})"
 
 
-def subgroup_generated(spec: GroupSpec, gens: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing the generators (always contains 0).
-
-    A generator g outside the members H grows them to H + <g> by doubling:
-    H + {0, ..., 2^j - 1} g gains its shift by 2^j g until a shift adds
-    nothing, which happens once it is closed under adding g.  No temporary
-    exceeds |G| x k.
-    """
-    members = np.zeros(spec.order, dtype=bool)
-    members[0] = True
-    for g in gens:
-        if members[g]:
-            continue
-        step = spec.coords[g]
-        while True:
-            moved = spec.index_of(spec.coords[members] + step)
-            if members[moved].all():
-                break
-            members[moved] = True
-            step = 2 * step
-    return ElementSet.from_indices(np.flatnonzero(members).tolist())
-
-
-def stabilizer(spec: GroupSpec, s: ElementSet) -> ElementSet:
-    """{h in G : h + s = s}; a subgroup of G.  Rejects the empty set.
-
-    Such an h moves the first element s0 into S, so the candidates are
-    S - s0 and the test is one |S| x |S| array.
-    """
-    if not s:
-        raise ValueError("stabilizer of the empty set is undefined")
-    idx = list(s)
-    inside = np.zeros(spec.order, dtype=bool)
-    inside[idx] = True
-    rows = spec.coords[idx]
-    cands = rows - rows[0]
-    moved = spec.index_of(rows[None, :, :] + cands[:, None, :])
-    fixers = spec.index_of(cands[inside[moved].all(axis=1)])
-    return ElementSet.from_indices(fixers.tolist())
+def _difference_counts(spec: GroupSpec, s: ElementSet) -> np.ndarray:
+    """nu_S as an array: entry d counts the ordered pairs of S with difference d."""
+    rows = spec.coords[list(s)]
+    diffs = spec.index_of(rows[:, None, :] - rows[None, :, :])
+    return np.bincount(diffs.ravel(), minlength=spec.order)
 
 
 # ---------------------------------------------------------------------------

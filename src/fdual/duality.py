@@ -26,11 +26,12 @@ keeps the per-character route (``norm_sq`` of the character sum) as the
 reference.
 
 A certificate's primitivity flags come from the nu tables of the same run,
-with no float: S is a union of cosets iff nu_S(h) = |S| for some h != 0,
-and lies in a proper coset iff some t != 0 annihilates the support of nu_S,
-which the pairing's nondegeneracy makes equivalent.
-``primitivity.is_primitive``, with its witness subgroups, is the
-independent route the tests compare them with.
+with no float, through ``primitivity._primitive_from_nu``: S is a union of
+cosets iff nu_S(h) = |S| for some h != 0, and lies in a proper coset iff
+some t != 0 annihilates the support of nu_S, which the pairing's
+nondegeneracy makes equivalent.  ``tests/oracles.py`` keeps the subgroup
+closure, the stabilizer scan and the subgroup-lattice scans as the
+independent references the tests compare them with.
 
 The equivalent condition with the roles of S and T exchanged (the "dual
 side") is not checked here: ``tests/oracles.py`` keeps it as a reference,
@@ -47,19 +48,21 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .abelian import ElementSet, GroupSpec, PairingMatrix, _is_int, galois_classes
+from .abelian import (
+    ElementSet,
+    GroupSpec,
+    PairingMatrix,
+    _difference_counts,
+    _is_int,
+    galois_classes,
+)
 from .cyclotomic import reduction_matrix
+from .primitivity import _primitive_from_nu
 
 # Largest number of entries in one temporary of the spectrum kernel.
 _CHUNK_ENTRIES = 1 << 20
 # Residue coefficients are bounded by |S|^2 * max|R|, which must stay below this.
 _INT64_BOUND = 1 << 62
-
-
-def _difference_counts(spec: GroupSpec, s: ElementSet) -> np.ndarray:
-    rows = spec.coords[list(s)]
-    diffs = spec.index_of(rows[:, None, :] - rows[None, :, :])
-    return np.bincount(diffs.ravel(), minlength=spec.order)
 
 
 def weight_enumerator(spec: GroupSpec, s: ElementSet) -> tuple[int, ...]:
@@ -108,36 +111,18 @@ def _residue_chunks(
         yield start, ~residues[:, 1:].any(axis=1), residues[:, 0]
 
 
-def exact_spectrum(spec: GroupSpec, pairing: PairingMatrix, s: ElementSet) -> list[int | None]:
-    """Exact integer spectrum entries |chi_t(S)|^2 for all t, None where not an integer."""
-    chunks = list(_residue_chunks(spec, pairing, _difference_counts(spec, s)))
+def exact_spectrum(
+    spec: GroupSpec, pairing: PairingMatrix, s: ElementSet, nu: np.ndarray | None = None
+) -> list[int | None]:
+    """Exact integer spectrum entries |chi_t(S)|^2 for all t, None where not an
+    integer; nu is nu_S when the caller already has it."""
+    if nu is None:
+        nu = _difference_counts(spec, s)
+    chunks = list(_residue_chunks(spec, pairing, nu))
     slot = galois_classes(spec)[1]
     integral = np.concatenate([chunk[1] for chunk in chunks])[slot]
     values = np.concatenate([chunk[2] for chunk in chunks])[slot]
     return [v if ok else None for v, ok in zip(values.tolist(), integral.tolist())]
-
-
-def _primitive_from_nu(pairing: PairingMatrix, nu) -> bool:
-    """Whether a set S is primitive, from nu = nu_S and a nondegenerate pairing.
-
-    S is a union of cosets of a nontrivial subgroup iff S + h = S for some
-    h != 0, i.e. nu_S(h) = |S| = nu_S(0).  S lies in a coset of a proper
-    subgroup iff its differences, the support of nu_S, generate a proper
-    subgroup D, i.e. iff some t != 0 has B(t, d) = 0 for every d in the
-    support (the annihilator of D has |G| / |D| elements).  u*t annihilates
-    D iff t does, so only the nonzero class representatives are tried, in
-    chunks of at most ``_CHUNK_ENTRIES`` exponents.
-    """
-    nu = np.asarray(nu)
-    if (nu[1:] == nu[0]).any():
-        return False
-    support = np.flatnonzero(nu)
-    reps = galois_classes(pairing.spec)[0][1:]
-    step = max(1, _CHUNK_ENTRIES // len(support))
-    return all(
-        pairing.exponents(reps[lo : lo + step], support).any(axis=1).all()
-        for lo in range(0, len(reps), step)
-    )
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ from .abelian import (
     ElementSet,
     GroupSpec,
     _aut_tables,
+    _difference_counts,
     _is_int,
     _sub_table,
     affine_reducer,
@@ -71,15 +72,8 @@ from .abelian import (
     pairing_from_automorphism,
     standard_pairing,
 )
-from .duality import (
-    Certificate,
-    _primitive_from_nu,
-    certify,
-    exact_spectrum,
-    make_certificate,
-    weight_enumerator,
-)
-from .primitivity import is_primitive
+from .duality import Certificate, certify, exact_spectrum, make_certificate
+from .primitivity import _primitive_from_nu
 
 MODES = ("pair", "self_dual")
 SYMMETRIES = ("none", "translation", "affine")
@@ -284,13 +278,14 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     first, in lexicographic order of the images, goes through one
     ``certify`` call, which re-checks it.
     """
-    if not is_primitive(spec, s).primitive:
-        return None
     pairing0 = standard_pairing(spec)
-    spectrum = exact_spectrum(spec, pairing0, s)
+    nu = _difference_counts(spec, s)
+    if not _primitive_from_nu(pairing0, nu):
+        return None
+    spectrum = exact_spectrum(spec, pairing0, s, nu)
     if any(v is None for v in spectrum):
         return None
-    target = len(s) * np.array(weight_enumerator(spec, s), dtype=np.int64)
+    target = len(s) * nu
     e_arr = np.array(spectrum, dtype=np.int64)
     if sorted(spectrum) != sorted(target.tolist()):
         return None
@@ -312,11 +307,12 @@ def pair_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     card = len(s)
     if card == 0 or n % card != 0:
         raise ValueError("|S| must be a nonzero divisor of |G|")
-    if not is_primitive(spec, s).primitive:
+    pairing = standard_pairing(spec)
+    nu = _difference_counts(spec, s)
+    if not _primitive_from_nu(pairing, nu):
         return None
     t_size = n // card
-    pairing = standard_pairing(spec)
-    spectrum = exact_spectrum(spec, pairing, s)
+    spectrum = exact_spectrum(spec, pairing, s, nu)
     if any(v is None for v in spectrum):
         return None
     s_sq = card * card

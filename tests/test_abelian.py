@@ -23,9 +23,7 @@ from fdual.abelian import (
     automorphism_group,
     galois_classes,
     pairing_from_automorphism,
-    stabilizer,
     standard_pairing,
-    subgroup_generated,
 )
 
 from oracles import (
@@ -150,46 +148,6 @@ class TestElementSet:
         s = ElementSet.from_indices([0, 1])
         assert translate(Z4, s, 2).indices == (2, 3)
         assert negate_set(Z4, s).indices == (0, 3)
-
-
-class TestSubgroups:
-    def test_generated_examples(self):
-        assert subgroup_generated(Z4, [1]).indices == (0, 1, 2, 3)
-        assert subgroup_generated(Z4, [2]).indices == (0, 2)
-        z22 = GroupSpec((2, 2))
-        gens = [z22.index_of((1, 0)), z22.index_of((0, 1))]
-        assert len(subgroup_generated(z22, gens)) == 4
-
-    def test_generated_closed_under_add_and_neg(self):
-        rng = random.Random(11)
-        for spec in SPEC_POOL[:12]:
-            gens = rng.sample(range(spec.order), min(2, spec.order))
-            h = subgroup_generated(spec, gens)
-            for a in h:
-                assert oracle_neg(spec, a) in h
-                for b in h:
-                    assert oracle_add(spec, a, b) in h
-
-    def test_stabilizer_examples(self):
-        assert stabilizer(Z4, ElementSet.from_indices([0, 2])).indices == (0, 2)
-        assert stabilizer(Z4, ElementSet.from_indices([0, 1])).indices == (0,)
-        whole = ElementSet.from_indices(range(4))
-        assert stabilizer(Z4, whole) == whole
-
-    def test_stabilizer_is_subgroup(self):
-        rng = random.Random(13)
-        for spec in SPEC_POOL[:12]:
-            size = rng.randint(1, spec.order)
-            s = ElementSet.from_indices(rng.sample(range(spec.order), size))
-            st = stabilizer(spec, s)
-            assert 0 in st
-            for a in st:
-                for b in st:
-                    assert oracle_add(spec, a, b) in st
-
-    def test_stabilizer_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stabilizer(Z4, ElementSet())
 
 
 class TestPairing:

@@ -28,7 +28,7 @@ from fdual.duality import (
     exact_spectrum,
     weight_enumerator,
 )
-from fdual.primitivity import is_in_proper_coset, is_union_of_cosets
+from fdual.primitivity import is_primitive
 from fdual import search
 from fdual.search import SearchConfig, pair_leaf_test, run_search, self_dual_leaf_test
 
@@ -202,8 +202,9 @@ def test_criterion_5_property_suites():
         spec = GroupSpec(orders)
         for bits in range(1, 1 << spec.order):
             s = ElementSet(bits)
-            assert is_in_proper_coset(spec, s)[0] == in_proper_coset_oracle(spec, s)
-            assert is_union_of_cosets(spec, s)[0] == union_of_cosets_oracle(spec, s)
+            report = is_primitive(spec, s)
+            assert report.in_proper_coset == in_proper_coset_oracle(spec, s)
+            assert report.union_of_cosets == union_of_cosets_oracle(spec, s)
 
     # self-dual verdicts are affine-orbit properties
     square_pool = [(GroupSpec((4,)), 2), (GroupSpec((9,)), 3), (GroupSpec((2, 8)), 4), (GroupSpec((4, 4)), 4)]

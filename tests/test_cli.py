@@ -267,6 +267,32 @@ class TestPrimitive:
         payload = {"group": {"orders": [4]}, "S": [[0], [1], [2], [3]]}
         assert main(["primitive", _write(tmp_path, "i.json", payload)]) == 1
 
+    _COSET = "not primitive: contained in a coset of the proper subgroup "
+    _UNION = "not primitive: union of cosets of the nontrivial subgroup "
+
+    @pytest.mark.parametrize("orders, s, code, out", [
+        ([1], [[0]], 0, "primitive\n"),
+        ([4], [[0], [1]], 0, "primitive\n"),
+        ([2, 4], [[0, 0], [0, 1]], 1, _COSET + "[0, 1, 2, 3]\n"),
+        ([2, 4], [[0, 0], [1, 0], [0, 1], [1, 1]], 1, _UNION + "[0, 4]\n"),
+        ([4], [[0], [2]], 1, _COSET + "[0, 2]\n" + _UNION + "[0, 2]\n"),
+        ([3, 5, 9], [[0, 0, 0], [1, 0, 3], [2, 0, 6], [0, 0, 3]], 1,
+         _COSET + "[0, 3, 6, 45, 48, 51, 90, 93, 96]\n"),
+        ([17, 17], [[0, 0], [0, 1], [1, 0], [2, 5], [7, 3]], 0, "primitive\n"),
+        ([16, 32], [[0, 0], [2, 4], [4, 8], [10, 20]], 1,
+         _COSET + "[0, 68, 136, 204, 272, 340, 408, 476]\n"),
+        ([2, 256], [[0, 0], [1, 0], [0, 1], [1, 1], [0, 5], [1, 5]], 1, _UNION + "[0, 256]\n"),
+        ([64, 64], [[0, 0], [0, 32], [32, 0], [32, 32]], 1,
+         _COSET + "[0, 32, 2048, 2080]\n" + _UNION + "[0, 32, 2048, 2080]\n"),
+    ], ids=["trivial", "primitive", "coset", "union", "both", "coset-3x5x9",
+            "primitive-289", "coset-512", "union-512", "both-4096"])
+    def test_output_is_pinned(self, tmp_path, capsys, orders, s, code, out):
+        # every branch of the report, in groups up to and beyond the
+        # search's |G| <= 256, byte for byte
+        payload = {"group": {"orders": orders}, "S": s}
+        assert main(["primitive", _write(tmp_path, "i.json", payload)]) == code
+        assert capsys.readouterr() == (out, "")
+
 
 class TestSearch:
     def test_z4_search_writes_certificates(self, tmp_path, capsys):

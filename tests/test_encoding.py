@@ -19,9 +19,7 @@ from fdual.abelian import (
     GroupSpec,
     automorphism_group,
     pairing_from_automorphism,
-    stabilizer,
     standard_pairing,
-    subgroup_generated,
 )
 from fdual.duality import check_pair, weight_enumerator
 from fdual.primitivity import is_primitive
@@ -30,7 +28,6 @@ from oracles import (
     abelian_group_orders,
     exponent_table_oracle,
     float_pair_holds,
-    stabilizer_oracle,
     subgroup_oracle,
     translate_oracle,
     weight_enumerator_oracle,
@@ -82,7 +79,7 @@ def test_exponents_match_bilinear_form():
 
 def _random_set(rng, spec):
     """A random set, or a union of cosets of a random subgroup half the time,
-    so that stabilizers are not always trivial."""
+    so that nu_S is not always near flat."""
     n = spec.order
     if rng.random() < 0.5:
         return ElementSet.from_indices(rng.sample(range(n), rng.randint(1, min(n, 20))))
@@ -95,16 +92,9 @@ def _random_set(rng, spec):
 def test_set_operations_match_tuple_oracles(orders):
     spec = GroupSpec(orders)
     rng = random.Random(sum(orders) * len(orders))
-    nontrivial = 0
     for _ in range(25):
         s = _random_set(rng, spec)
         assert weight_enumerator(spec, s) == weight_enumerator_oracle(spec, s)
-        st = stabilizer(spec, s)
-        assert set(st) == stabilizer_oracle(spec, s)
-        nontrivial += len(st) > 1
-        gens = rng.sample(range(spec.order), rng.randint(0, 3))
-        assert set(subgroup_generated(spec, gens)) == subgroup_oracle(spec, gens)
-    assert nontrivial  # the cosets made some stabilizers nontrivial
 
 
 def test_order_4096_group_has_no_size_limit():

@@ -13,8 +13,8 @@ from fdual.abelian import (
     pairing_from_automorphism,
     standard_pairing,
 )
-from fdual.duality import _primitive_from_nu, weight_enumerator
-from fdual.primitivity import is_in_proper_coset, is_primitive, is_union_of_cosets
+from fdual.duality import weight_enumerator
+from fdual.primitivity import _primitive_from_nu, is_primitive
 
 from oracles import (
     abelian_group_orders,
@@ -23,6 +23,8 @@ from oracles import (
     map_set,
     oracle_add,
     oracle_neg,
+    stabilizer_oracle,
+    subgroup_oracle,
     translate,
     union_of_cosets_oracle,
 )
@@ -30,25 +32,37 @@ from oracles import (
 Z4 = GroupSpec((4,))
 
 
+def assert_witnesses_match_oracles(spec, s, report):
+    """The coset witness is <S - s0> when that is proper, the stabilizer
+    witness {h : h + S = S} when that is nontrivial, and None otherwise."""
+    s0 = s.indices[0]
+    diffs = subgroup_oracle(spec, [oracle_add(spec, x, oracle_neg(spec, s0)) for x in s])
+    stab = stabilizer_oracle(spec, s)
+    assert report.coset_witness == (
+        ElementSet.from_indices(diffs) if len(diffs) < spec.order else None), (spec, s)
+    assert report.stabilizer_witness == (
+        ElementSet.from_indices(stab) if len(stab) > 1 else None), (spec, s)
+    assert report.in_proper_coset == (report.coset_witness is not None)
+    assert report.union_of_cosets == (report.stabilizer_witness is not None)
+    assert report.primitive == (not report.in_proper_coset and not report.union_of_cosets)
+
+
 class TestExamples:
     def test_z4_subgroup_set(self):
-        s = ElementSet.from_indices([0, 2])
-        coset, witness = is_in_proper_coset(Z4, s)
-        assert coset and witness.indices == (0, 2)
-        union, stab = is_union_of_cosets(Z4, s)
-        assert union and stab.indices == (0, 2)
-        assert not is_primitive(Z4, s).primitive
+        report = is_primitive(Z4, ElementSet.from_indices([0, 2]))
+        assert report.in_proper_coset and report.coset_witness.indices == (0, 2)
+        assert report.union_of_cosets and report.stabilizer_witness.indices == (0, 2)
+        assert not report.primitive
 
     def test_z4_tito_is_primitive(self):
-        s = ElementSet.from_indices([0, 1])
-        assert not is_in_proper_coset(Z4, s)[0]
-        assert not is_union_of_cosets(Z4, s)[0]
-        assert is_primitive(Z4, s).primitive
+        report = is_primitive(Z4, ElementSet.from_indices([0, 1]))
+        assert not report.in_proper_coset and not report.union_of_cosets
+        assert report.primitive
 
     def test_whole_group_is_union_of_cosets(self):
-        whole = ElementSet.from_indices(range(4))
-        union, witness = is_union_of_cosets(Z4, whole)
-        assert union and len(witness) == 4
+        report = is_primitive(Z4, ElementSet.from_indices(range(4)))
+        assert report.union_of_cosets and len(report.stabilizer_witness) == 4
+        assert not report.in_proper_coset
 
     def test_singletons_never_primitive_beyond_trivial_group(self):
         for spec in [Z4, GroupSpec((2, 2)), GroupSpec((6,))]:
@@ -72,20 +86,16 @@ class TestInvariances:
     def test_base_point_choice_is_irrelevant(self):
         # the difference subgroup must not depend on which member anchors it
         rng = random.Random(307)
-        from fdual.abelian import subgroup_generated
-
         for _ in range(80):
             spec = GroupSpec(rng.choice([(8,), (2, 4), (12,), (2, 2, 4)]))
             size = rng.randint(1, spec.order)
             s = ElementSet.from_indices(rng.sample(range(spec.order), size))
             verdicts = set()
             for s0 in s:
-                h = subgroup_generated(
-                    spec, [oracle_add(spec, x, oracle_neg(spec, s0)) for x in s]
-                )
-                verdicts.add((len(h) < spec.order, h.indices))
+                h = subgroup_oracle(spec, [oracle_add(spec, x, oracle_neg(spec, s0)) for x in s])
+                verdicts.add((len(h) < spec.order, tuple(sorted(h))))
             assert len(verdicts) == 1
-            assert next(iter(verdicts))[0] == is_in_proper_coset(spec, s)[0]
+            assert next(iter(verdicts))[0] == is_primitive(spec, s).in_proper_coset
 
     def test_affine_invariance(self):
         rng = random.Random(311)
@@ -105,17 +115,20 @@ class TestInvariances:
 class TestAgainstSubgroupLattice:
     @pytest.mark.parametrize("orders", abelian_group_orders(8))
     def test_exhaustive_small_groups(self, orders):
-        # the nu-table flag of certificates, too, against both routes
+        # both witnesses against the closure and stabilizer oracles, the
+        # flags against the lattice scans, and the nu-table flag of
+        # certificates against them all
         spec = GroupSpec(orders)
         n = spec.order
         pairing = standard_pairing(spec)
         for bits in range(1, 1 << n):
             s = ElementSet(bits)
+            report = is_primitive(spec, s)
+            assert_witnesses_match_oracles(spec, s, report)
             coset, union = in_proper_coset_oracle(spec, s), union_of_cosets_oracle(spec, s)
-            assert is_in_proper_coset(spec, s)[0] == coset
-            assert is_union_of_cosets(spec, s)[0] == union
+            assert (report.in_proper_coset, report.union_of_cosets) == (coset, union)
             flag = _primitive_from_nu(pairing, weight_enumerator(spec, s))
-            assert flag == is_primitive(spec, s).primitive == (not coset and not union)
+            assert flag is report.primitive == (not coset and not union)
 
     def test_witnesses_actually_witness(self):
         rng = random.Random(313)
@@ -138,7 +151,7 @@ class TestAgainstSubgroupLattice:
 
 
 class TestPrimitivityFromNu:
-    """``duality._primitive_from_nu``, the flag certificates carry, decides
+    """``primitivity._primitive_from_nu``, the flag certificates carry, decides
     primitivity from nu_S and the pairing's annihilators alone."""
 
     @pytest.mark.parametrize("orders", [(1,)] + abelian_group_orders(16), ids=str)
@@ -162,7 +175,7 @@ class TestPrimitivityFromNu:
     def test_random_and_coset_built_sets(self, orders):
         # random sets are nearly all primitive; cosets, unions of cosets and
         # sets inside a coset are not; any nondegenerate pairing gives the
-        # same flag
+        # same flag, and the witnesses are the oracles' subgroups
         spec = GroupSpec(orders)
         n = spec.order
         rng = random.Random(n + len(orders))
@@ -183,7 +196,9 @@ class TestPrimitivityFromNu:
         sets += [ElementSet.from_indices([rng.randrange(n)]), ElementSet.from_indices(range(n))]
         verdicts = set()
         for s in sets:
-            expected = is_primitive(spec, s).primitive
+            report = is_primitive(spec, s)
+            assert_witnesses_match_oracles(spec, s, report)
+            expected = report.primitive
             nu = weight_enumerator(spec, s)
             assert all(_primitive_from_nu(p, nu) == expected for p in pairings), (orders, s)
             verdicts.add(expected)
