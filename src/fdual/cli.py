@@ -268,6 +268,8 @@ def _cmd_search(args) -> int:
     from .search import CheckpointError, SearchConfig, WorkerDied, run_search
 
     jobs = _default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise InputError(f"--jobs must be an integer >= 1, got {jobs}")
     spec = _parse_group(args.group)
     mode = args.mode.replace("-", "_")
     try:

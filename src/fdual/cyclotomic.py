@@ -67,15 +67,6 @@ class CyclotomicPoly:
         return len(self.coeffs) - 1
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_divmod_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exact division by a monic integer polynomial; returns (quotient, remainder)."""
     assert den and den[-1] == 1, "divisor must be monic"

@@ -2,8 +2,11 @@
 reduction, deterministic parallel task splitting, and checkpoint/resume.
 
 Subsets are organized in the orderly tree of strictly increasing index
-lists, a node's children being those with room left for a completion.  The
-frontier tasks and the walks below them share that one child rule, so node
+lists, a node's children being those with room left for a completion.  One
+walker visits nodes one at a time, counting each and draining the budget
+by one unit: the frontier enumeration from the roots down to
+frontier_depth, and each task from itself down to its nodes of depth
+size - 4, which are batches.  Both follow that one child rule, so node
 counts do not depend on frontier_depth.  With translation symmetry the
 first element is pinned to 0 (every affine orbit has such a
 representative).  With affine symmetry an internal node is pruned unless it
@@ -25,12 +28,13 @@ walk gates its children, one more the grandchildren of the canonical ones,
 one more the great-grandchildren of the canonical grandchildren, and one
 cut of the nodes' costs in DFS order at the budget gives every count, so no
 loop runs per node there.  The batch then float-screens the leaves the cut
-allows in chunks, from its node's partial spectrum (prune only when the
-exact identity certainly fails): first on one character per Galois orbit
-t -> u*t, then on every character for the survivors, which gives the
-verdicts of the full screen bit for bit.  Survivors are canonically gated,
-then handed to the exact leaf test.  Every emitted certificate has passed
-the exact integer check and primitivity for both sets.
+allows in chunks, from its node's partial spectrum, the sum of the node's
+character columns (prune only when the exact identity certainly fails):
+first on one character per Galois orbit t -> u*t, then on every character
+for the survivors, which gives the verdicts of the full screen bit for
+bit.  Survivors are canonically gated, then handed to the exact leaf test.
+Every emitted certificate has passed the exact integer check and
+primitivity for both sets.
 
 Frontier tasks run in chunks of consecutive tasks, one task first and then
 about _CHUNK_SECONDS of work at the measured task time.  A chunk's tasks
@@ -46,6 +50,7 @@ never claims non-existence.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -411,39 +416,57 @@ def _children(
     return xs, _canonical_mask(config, ctx, node, xs)
 
 
+def _walk(
+    config: SearchConfig,
+    ctx: _SearchContext,
+    node: list[int],
+    depth: int,
+    stats: SearchStats,
+    budget: _Budget | None,
+) -> Iterator[list[int] | None]:
+    """The canonical nodes of ``depth`` below ``node`` in DFS order, or the
+    node itself when it is that deep.
+
+    Each child visited on the way counts in stats and drains one unit of
+    the budget; once the budget has none left the walk yields None, and the
+    caller stops there.
+    """
+    if len(node) >= depth:
+        yield node
+        return
+    xs, ok = _children(config, ctx, node)
+    for x, keep in zip(xs.tolist(), ok.tolist()):
+        if budget is not None and budget.drain(1) == 0:
+            yield None
+            return
+        stats.nodes_visited += 1
+        if not keep:
+            stats.pruned_by_symmetry += 1
+            continue
+        yield from _walk(config, ctx, node + [x], depth, stats, budget)
+
+
 def _enumerate_frontier(
-    config: SearchConfig, ctx: _SearchContext, stats: SearchStats, budget: _Budget | None
+    config: SearchConfig, ctx: _SearchContext, stats: SearchStats
 ) -> list[tuple[int, ...]]:
     """Frontier tasks in deterministic lexicographic order.
 
-    Enumeration nodes count toward stats and budget but never abort: the
-    task universe is a function of the config alone, which resume relies on.
+    The roots and the nodes walked count toward stats; the walk has no
+    budget, so the task universe is a function of the config alone, which
+    resume relies on.
     """
-    out: list[tuple[int, ...]] = []
     roots = range(ctx.n - config.target_size + 1) if config.symmetry == "none" else range(1)
-
-    def visit(node: list[int], canonical: bool) -> None:
-        if budget is not None:
-            budget.drain(1)
-        stats.nodes_visited += 1
-        if not canonical:
-            stats.pruned_by_symmetry += 1
-            return
-        if len(node) == config.frontier_depth:
-            out.append(tuple(node))
-            return
-        xs, ok = _children(config, ctx, node)
-        for x, keep in zip(xs.tolist(), ok.tolist()):
-            visit(node + [x], keep)
-
-    for r in roots:
-        visit([r], True)
-    return out
+    stats.nodes_visited += len(roots)
+    return [
+        tuple(node)
+        for r in roots
+        for node in _walk(config, ctx, [r], config.frontier_depth, stats, None)
+    ]
 
 
 def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
     """Public view of the frontier task list (order is part of the contract)."""
-    return _enumerate_frontier(config, _context(config.spec), SearchStats(), None)
+    return _enumerate_frontier(config, _context(config.spec), SearchStats())
 
 
 # leaf columns per float-screen call; bounds the screen's temporary arrays
@@ -495,9 +518,9 @@ def _test_leaves(
     stands for the leaves node + prefix + (b + j,), j < count[i].  They are
     screened (``_screen``) in chunks of at most _SCREEN_CHUNK columns.  A
     leaf's spectrum is the node's partial spectrum plus one character
-    column per prefix element and b, added in tree order: the sum the walk
-    would build one level at a time.  Leaves that pass are canonically
-    gated, then exact-tested.
+    column per prefix element and b, added in that order; the float-screen
+    error bound holds for any order of the additions.  Leaves that pass are
+    canonically gated, then exact-tested.
     """
     test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
     ratio = config.target_size ** 2 / config.partner_size
@@ -617,66 +640,36 @@ def _batch(
     return finished and not truncated
 
 
-def _descend(
-    config: SearchConfig,
-    ctx: _SearchContext,
-    node: list[int],
-    char_partial: np.ndarray,
-    stats: SearchStats,
-    budget: _Budget | None,
-    hits: list[Certificate],
-) -> bool:
-    """Depth-first walk below a node; returns False when the budget ran out.
-
-    Above depth size - 4 a node gates its children with one canonicity
-    walk, and a loop over them does the budget and the counting and
-    recurses into the canonical ones.  From depth size - 4 on, the levels
-    left are one batch (``_batch``) with no per-element loop.
-    """
-    if len(node) >= config.target_size - 4:
-        return _batch(config, ctx, node, char_partial, stats, budget, hits)
-    xs, ok = _children(config, ctx, node)
-    for x, keep in zip(xs.tolist(), ok.tolist()):
-        if budget is not None and budget.drain(1) == 0:
-            return False
-        stats.nodes_visited += 1
-        if not keep:
-            stats.pruned_by_symmetry += 1
-            continue
-        node.append(x)
-        finished = _descend(
-            config, ctx, node, char_partial + ctx.char_matrix[:, x], stats, budget, hits
-        )
-        node.pop()
-        if not finished:
-            return False
-    return True
-
-
 def _run_task(
     config: SearchConfig, tasks: list[tuple[int, ...]], budget: _Budget | None
 ) -> tuple[SearchStats, list[Certificate], bool]:
     """Execute one frontier task, or consecutive sibling tasks as one walk;
     returns (stats, hits, finished) for them together.
 
-    One task is walked below itself (``_descend``).  Siblings, whose parent
-    P has depth at least size - 4, are the level-1 rows of one batch from P
-    (``_batch``): they are canonical and the frontier counted them, so the
-    batch neither walks nor counts them.
+    One task is walked down to its nodes of depth size - 4 (``_walk``),
+    and each is one batch (``_batch``).  Siblings, whose parent P has depth
+    at least size - 4, are the level-1 rows of one batch from P: they are
+    canonical and the frontier counted them, so the batch neither walks nor
+    counts them.  A batch node's partial spectrum is the sum of its
+    character columns.
     """
     ctx = _context(config.spec)
     stats = SearchStats()
     hits: list[Certificate] = []
-    node = list(tasks[0] if len(tasks) == 1 else tasks[0][:-1])
-    char_partial = ctx.char_matrix[:, node].sum(axis=1)
     if len(tasks) == 1:
-        finished = _descend(config, ctx, node, char_partial, stats, budget, hits)
+        nodes, rest = _walk(config, ctx, list(tasks[0]), config.target_size - 4, stats, budget), ()
     else:
-        rows = np.repeat([[task[-1]] for task in tasks], config.target_size - len(node), axis=1)
-        rows[:, 0] = node[-1]
-        finished = _batch(config, ctx, node, char_partial, stats, budget, hits,
-                          rows, np.ones(len(tasks), int), np.ones(len(tasks), bool), 2, 1)
-    return stats, hits, finished
+        parent = list(tasks[0][:-1])
+        rows = np.repeat([[task[-1]] for task in tasks], config.target_size - len(parent), axis=1)
+        rows[:, 0] = parent[-1]
+        nodes = [parent]
+        rest = (rows, np.ones(len(tasks), int), np.ones(len(tasks), bool), 2, 1)
+    for node in nodes:
+        if node is None or not _batch(
+            config, ctx, node, ctx.char_matrix[:, node].sum(axis=1), stats, budget, hits, *rest
+        ):
+            return stats, hits, False
+    return stats, hits, True
 
 
 # (tasks, stats, hits, finished) for each run of siblings of a chunk, in order
@@ -727,13 +720,16 @@ class CheckpointRecord:
 
 def checkpoint_save(path: str, record: CheckpointRecord) -> None:
     """Write the record as one line of compact JSON, atomically; a failed
-    write is a CheckpointError naming the path."""
+    write is a CheckpointError naming the path, and leaves no temporary
+    file behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
@@ -879,7 +875,9 @@ def run_search(config: SearchConfig, jobs: int = 1) -> SearchResult:
 
     # the frontier enumeration, then a task cut short by the budget if any
     unsaved = SearchStats()
-    tasks = _enumerate_frontier(config, ctx, unsaved, budget)
+    tasks = _enumerate_frontier(config, ctx, unsaved)
+    if budget is not None:
+        budget.drain(unsaved.nodes_visited)
 
     completed_stats = SearchStats()
     hits: list[Certificate] = []

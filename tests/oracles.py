@@ -21,8 +21,9 @@ count of affine orbits, which the orderly walk must match, are checked
 against it.  Whether an index table row is an automorphism at all is
 decided here on the tuple arithmetic, pair by pair.  A few helpers on the
 library's own encoding (``translate``, ``negate_set``,
-``affine_canonical_form``, ``checkpoint_resume``) live here too, because
-only the tests call them.
+``affine_canonical_form``, ``checkpoint_resume``) and the integer
+polynomial product ``poly_mul`` live here too, because only the tests call
+them.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ def eval_float(p):
     return sum(
         c * cmath.exp(2j * cmath.pi * j / m) for j, c in enumerate(p.coeffs) if c
     )
+
+
+def poly_mul(a, b):
+    """Product of two integer polynomials given as coefficient tuples,
+    lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fdual.abelian import (
     standard_pairing,
 )
 from fdual.cli import main
-from fdual.cyclotomic import _poly_mul, cyclotomic_poly
+from fdual.cyclotomic import cyclotomic_poly
 from fdual.duality import (
     check_pair,
     check_self_dual,
@@ -42,6 +42,7 @@ from oracles import (
     in_proper_coset_oracle,
     map_set,
     oracle_neg,
+    poly_mul,
     spectrum_entry,
     translate,
     union_of_cosets_oracle,
@@ -231,7 +232,7 @@ def test_criterion_5_property_suites():
         acc = (1,)
         for d in range(1, m + 1):
             if m % d == 0:
-                acc = _poly_mul(acc, cyclotomic_poly(d).coeffs)
+                acc = poly_mul(acc, cyclotomic_poly(d).coeffs)
         assert acc == (-1,) + (0,) * (m - 1) + (1,)
 
     print("ACCEPTANCE 5 PASS: nu, Parseval, equivalence, primitivity, affine-invariance, Phi suites")

@@ -373,6 +373,17 @@ class TestSearch:
         assert main(["search", "--group", "4", "--size", "2", "--jobs", "1",
                      "--out", str(tmp_path / "r2")]) == 0
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--jobs", "0", "jobs"), ("--jobs", "-2", "jobs"), ("--frontier-depth", "0", "depth"),
+    ])
+    def test_bad_search_option_writes_nothing(self, tmp_path, capsys, flag, value, named):
+        # refused with the configuration checks, before --out is created
+        out = tmp_path / "r"
+        assert main(["search", "--group", "4", "--size", "2", flag, value,
+                     "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [
         "1e400", "inf", "10^-1", "1e-3",
         # above 2^63 - 1; the huge exponents are refused without the power

@@ -797,10 +797,12 @@ class TestBudget:
 
 def _sweep_budgets(orders, size, mode, symmetry, depth=None, step=1):
     """run_search against the node-by-node reference at every ``step``-th
-    budget from 1 to one past the full run, and without a budget."""
+    budget from 1 to one past the full run, and without a budget; and the
+    frontier task list against the reference's."""
     base = dict(spec=GroupSpec(orders), target_size=size, mode=mode,
                 symmetry=symmetry, frontier_depth=depth)
     walk = reference_walk(SearchConfig(**base))
+    assert enumerate_tasks(SearchConfig(**base)) == [task for task, _ in walk[1]]
     full = reference_result(walk)
     assert full[1]
     for budget in [None, *range(1, full[0]["nodes_visited"] + 2, step)]:
@@ -1088,6 +1090,16 @@ class TestCheckpointing:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: cannot read checkpoint {path}: certificate is missing field 'group'"]
         assert path.read_bytes() == before
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path):
+        # a directory where the checkpoint goes: the temporary file is
+        # written, the rename fails, and the temporary file is removed
+        path = tmp_path / "ck.json"
+        path.mkdir()
+        record = CheckpointRecord(config_hash="0" * 64, completed=[], stats=SearchStats(), hits=[])
+        with pytest.raises(CheckpointError, match=re.escape(f"cannot write checkpoint {path}")):
+            checkpoint_save(str(path), record)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"] and path.is_dir()
 
     def test_checkpoint_hits_round_trip(self, tmp_path):
         # one line of compact JSON that reads back to the same record
