@@ -1,9 +1,10 @@
 """Command line surface: verify, spectrum, nu, primitive, search.
 
 Exit codes: 0 success / property holds, 1 checked and fails, 2 bad input,
-configuration or output path, 3 search stopped by budget or by a dead
-worker process.  The gap between 1 and 3 matters: 1 is a verdict, 3 is an
-unfinished computation and never a claim of non-existence.
+configuration or output path, or too little memory, 3 search stopped by
+budget or by a dead worker process.  The gap between 1 and 3 matters: 1
+is a verdict, 3 is an unfinished computation and never a claim of
+non-existence.
 """
 
 from __future__ import annotations
@@ -374,6 +375,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        # an instance too large for this machine is no verdict on it
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

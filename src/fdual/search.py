@@ -28,13 +28,15 @@ walk gates its children, one more the grandchildren of the canonical ones,
 one more the great-grandchildren of the canonical grandchildren, and one
 cut of the nodes' costs in DFS order at the budget gives every count, so no
 loop runs per node there.  The batch then float-screens the leaves the cut
-allows in chunks, from its node's partial spectrum, the sum of the node's
-character columns (prune only when the exact identity certainly fails):
-first on one character per Galois orbit t -> u*t, then on every character
-for the survivors, which gives the verdicts of the full screen bit for
-bit.  Survivors are canonically gated, then handed to the exact leaf test.
-Every emitted certificate has passed the exact integer check and
-primitivity for both sets.
+allows, from its node's partial spectrum, the sum of the node's character
+columns (prune only when the exact identity certainly fails), in chunks of
+at most _SCREEN_ENTRIES leaves times characters and in three stages: on
+one character of largest order, summed once per run of sibling leaves;
+then on one character per Galois orbit t -> u*t; then on every character.
+Each stage reads only the survivors of the one before, and the verdicts
+are those of the full screen bit for bit.  Survivors are canonically
+gated, then handed to the exact leaf test.  Every emitted certificate has
+passed the exact integer check and primitivity for both sets.
 
 Frontier tasks run in chunks of consecutive tasks, one task first and then
 about _CHUNK_SECONDS of work at the measured task time.  A chunk's tasks
@@ -117,7 +119,9 @@ class SearchConfig:
     target_size must divide |G| (otherwise the size law makes the search
     vacuous) and self-dual mode additionally needs target_size^2 == |G|.
     frontier_depth controls task granularity: tasks are the surviving nodes
-    at that depth and run independently.
+    at that depth and run independently.  target_size, frontier_depth and
+    budget are integers, never bools, as in a checkpoint; any integer type
+    is stored as int, so it hashes as the int does.
     """
 
     spec: GroupSpec
@@ -135,6 +139,12 @@ class SearchConfig:
             raise ValueError(
                 f"symmetry must be one of {SYMMETRIES}, got {self.symmetry!r}"
             )
+        for name in ("target_size", "frontier_depth", "budget"):
+            value = getattr(self, name)
+            if _is_int(value):
+                object.__setattr__(self, name, int(value))
+            elif value is not None or name == "target_size":
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.spec.order
         if self.target_size < 2:
             raise ValueError("target_size must be at least 2 to search")
@@ -256,6 +266,10 @@ class _SearchContext:
         # |chi_t(S)|^2 and those of its orbit are Galois conjugates
         self.orbit_rows = galois_classes(spec)[0][1:]
         self.orbit_matrix = self.char_matrix[self.orbit_rows]
+        # the first screen row: chi_t has the order of t, and an orbit of
+        # largest order prunes the most; the least such t
+        orders = np.lcm.reduce(np.array(spec.orders) // np.gcd(spec.coords, spec.orders), axis=1)
+        self.lead_row = int(self.orbit_rows[np.argmax(orders[self.orbit_rows])])
         self.reducer = affine_reducer(spec)
 
 
@@ -469,8 +483,9 @@ def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
     return _enumerate_frontier(config, _context(config.spec), SearchStats())
 
 
-# leaf columns per float-screen call; bounds the screen's temporary arrays
-_SCREEN_CHUNK = 512
+# leaves times characters per float-screen chunk; bounds the screen's
+# temporary arrays
+_SCREEN_ENTRIES = 1 << 17
 
 
 def _float_norms(partial: np.ndarray, matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -483,29 +498,49 @@ def _float_norms(partial: np.ndarray, matrix: np.ndarray, cols: np.ndarray) -> n
     return np.abs(sums) ** 2
 
 
+def _near_integers(norms: np.ndarray, ratio: float) -> np.ndarray:
+    """Which float |chi_t(S)|^2 ``norms`` pass the float screen: norm / ratio
+    is within FLOAT_SCREEN_TOL / ratio of an integer, ratio = |S|^2 / |T|."""
+    q = norms / ratio
+    return np.abs(q - np.round(q)) * ratio <= FLOAT_SCREEN_TOL
+
+
 def _float_passes(
     partial: np.ndarray, matrix: np.ndarray, cols: np.ndarray, ratio: float
 ) -> np.ndarray:
-    """Which leaves pass the float screen: every |chi_t(S)|^2 / ratio
-    (``_float_norms``) is within FLOAT_SCREEN_TOL / ratio of an integer,
-    ratio = |S|^2 / |T|."""
-    q = _float_norms(partial, matrix, cols) / ratio
-    return (np.abs(q - np.round(q)) * ratio).max(axis=0) <= FLOAT_SCREEN_TOL
+    """Which leaves pass the float screen on every character of ``matrix``
+    (``_float_norms``, ``_near_integers``)."""
+    return _near_integers(_float_norms(partial, matrix, cols), ratio).all(axis=0)
 
 
 def _screen(ctx: _SearchContext, ratio: float, partial: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``_float_passes`` on every character, in two stages.
+    """``_float_passes`` on every character, in two stages (stages 2 and 3
+    of ``_test_leaves``).
 
-    Stage 1 reads one nonzero character per orbit of t -> u*t
+    The first reads one nonzero character per orbit of t -> u*t
     (``ctx.orbit_rows``).  Their values are Galois conjugates of the rest,
-    equal to them when integers, so stage 1 prunes nearly every leaf the
-    full screen prunes.  Stage 2 reads every character for the leaves
-    stage 1 keeps.  Each row's value is computed by the same additions in
+    equal to them when integers, so it prunes nearly every leaf the full
+    screen prunes.  The second reads every character for the leaves the
+    first keeps.  Each row's value is computed by the same additions in
     both, so the verdicts are those of one full-row screen, bit for bit.
     """
     keep = _float_passes(partial[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
     keep[keep] = _float_passes(partial, ctx.char_matrix, cols[keep], ratio)
     return keep
+
+
+def _leaf_chunks(
+    runs: np.ndarray, count: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The leaves of ``runs`` (``_test_leaves``) in DFS order, in chunks of
+    _SCREEN_ENTRIES // n leaves: for each chunk, every leaf's row of
+    ``runs`` and its last element."""
+    ends, total = np.cumsum(count), int(count.sum())
+    step = max(1, _SCREEN_ENTRIES // n)
+    for lo in range(0, total, step):
+        ids = np.arange(lo, min(lo + step, total))
+        r = np.searchsorted(ends, ids, side="right")
+        yield r, runs[r, -1] + ids - ends[r] + count[r]  # b + place in the run
 
 
 def _test_leaves(
@@ -515,23 +550,33 @@ def _test_leaves(
     """Screen, gate and exact-test the leaves of one batch node in DFS order.
 
     Row i of ``runs`` is a prefix below the node and a first element b: it
-    stands for the leaves node + prefix + (b + j,), j < count[i].  They are
-    screened (``_screen``) in chunks of at most _SCREEN_CHUNK columns.  A
-    leaf's spectrum is the node's partial spectrum plus one character
-    column per prefix element and b, added in that order; the float-screen
-    error bound holds for any order of the additions.  Leaves that pass are
-    canonically gated, then exact-tested.
+    stands for the leaves node + prefix + (b + j,), j < count[i].  A leaf's
+    spectrum is the node's partial spectrum plus one character column per
+    prefix element and b, added in that order.  The leaves are screened in
+    chunks of _SCREEN_ENTRIES // |G| (``_leaf_chunks``), so that no
+    temporary holds more than _SCREEN_ENTRIES entries, in three stages.
+    Stage 1 reads one character, ``ctx.lead_row``: its partial plus prefix
+    is summed once per run, and each leaf adds its last column.  Stages 2
+    and 3 (``_screen``) read one character per Galois orbit and then every
+    character, for the leaves stage 1 keeps.  Every row's value is the
+    same additions in the same order in every stage, so the verdicts are
+    those of ``_float_passes`` on every character, bit for bit; the
+    float-screen error bound holds for any order of the additions.  Leaves
+    that pass are canonically gated, then exact-tested.
     """
     test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
     ratio = config.target_size ** 2 / config.partner_size
-    head, ends, total = tuple(node), np.cumsum(count), int(count.sum())
-    for lo in range(0, total, _SCREEN_CHUNK):
-        ids = np.arange(lo, min(lo + _SCREEN_CHUNK, total))
-        r = np.searchsorted(ends, ids, side="right")
-        cols = runs[r]
-        cols[:, -1] += ids - ends[r] + count[r]  # b + place in the run
-        cols = cols[_screen(ctx, ratio, partial, cols)]
-        stats.pruned_by_screen += len(ids) - len(cols)
+    head, lead = tuple(node), ctx.char_matrix[ctx.lead_row]
+    sums = np.full(len(runs), partial[ctx.lead_row])
+    for j in range(runs.shape[1] - 1):
+        sums += lead[runs[:, j]]
+    for r, last in _leaf_chunks(runs, count, ctx.n):
+        kept = _near_integers(np.abs(sums[r] + lead[last]) ** 2, ratio)
+        cols = runs[r[kept]]
+        cols[:, -1] = last[kept]
+        if len(cols):
+            cols = cols[_screen(ctx, ratio, partial, cols)]
+        stats.pruned_by_screen += len(r) - len(cols)
         for row in cols.tolist():
             leaf = (*head, *row)
             if config.symmetry == "affine" and not ctx.reducer.is_canonical(leaf):

@@ -239,6 +239,20 @@ class TestTables:
         out = capsys.readouterr().out
         assert "non-integer" in out
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 2.91 TiB for an array", ""])
+    def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch, message):
+        # an instance too large to reduce is exit 2 with one error line,
+        # not exit 1 (a verdict) with a traceback
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(duality, "_residue_rows", no_memory)
+        assert main(["spectrum", _write(tmp_path, "i.json", Z4_INSTANCE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"error: out of memory: {message}" if message else "error: out of memory"
+        assert captured.err.splitlines() == [expected]
+
     def test_tables_are_deterministic(self, tmp_path, capsys):
         path = _write(tmp_path, "i.json", Z4_INSTANCE)
         main(["nu", path])

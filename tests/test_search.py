@@ -111,6 +111,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(spec=Z4, target_size=2, mode="pair", symmetry="sideways")
 
+    @pytest.mark.parametrize("name,value", [
+        ("target_size", 4.0), ("target_size", True), ("target_size", "4"),
+        ("frontier_depth", True), ("frontier_depth", 2.0),
+        ("budget", 2.5), ("budget", True), ("budget", 100.0),
+    ])
+    def test_non_integer_fields_rejected(self, name, value):
+        # a bool or float would run (or fail deep in the walk) under a
+        # config_hash of its own, which a checkpoint of the int refuses
+        fields = {"spec": GroupSpec((4, 4)), "target_size": 4, "mode": "pair", name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SearchConfig(**fields)
+
+    def test_integer_fields_accepted(self):
+        cfg = SearchConfig(spec=GroupSpec((4, 4)), target_size=4, mode="pair",
+                           frontier_depth=1, budget=100)
+        assert (cfg.target_size, cfg.frontier_depth, cfg.budget) == (4, 1, 100)
+        assert SearchConfig(spec=Z4, target_size=2, mode="pair").budget is None
+        # a NumPy integer is stored as int: it hashes as the int does
+        same = SearchConfig(spec=GroupSpec((4, 4)), target_size=np.int64(4), mode="pair",
+                            frontier_depth=np.int64(1), budget=np.int64(100))
+        assert type(same.target_size) is type(same.frontier_depth) is type(same.budget) is int
+        assert same.config_hash() == cfg.config_hash()
+
     def test_hash_ignores_budget_and_checkpoint(self):
         a = SearchConfig(spec=Z4, target_size=2, mode="pair", budget=100)
         b = SearchConfig(spec=Z4, target_size=2, mode="pair", checkpoint_path="x.json")
@@ -816,7 +839,7 @@ def _sweep_budgets(orders, size, mode, symmetry, depth=None, step=1):
 
 class TestBatchedWalk:
     """The batched walk (one canonicity walk per level below a node of depth
-    size - 4, one cut of the node costs at the budget, a two-stage float
+    size - 4, one cut of the node costs at the budget, a three-stage float
     screen of each batch's own leaves) against the search walked one node
     at a time: identical counts, stop points and hit lists at every budget.
     Tasks start above depth size - 4 (size 6 with depth 1), at it (size 6,
@@ -893,8 +916,8 @@ class TestBatchedWalk:
         assert (peak_kb - base_kb) * 1024 < 1 << 20
 
     def test_screen_in_many_chunks(self, monkeypatch):
-        # a node's leaf pairs (up to 91) span many chunks of 3
-        monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
+        # a node's leaf pairs (up to 91) span many chunks of 3 (3 * 16 entries)
+        monkeypatch.setattr(search, "_SCREEN_ENTRIES", 3 * 16)
         stats, _, hits = _sweep_budgets((4, 4), 4, "self_dual", "affine")
         assert len(hits) == 2
 
@@ -909,10 +932,12 @@ class TestBatchedWalk:
         # holds the runs of two parents; but every chunk holds the leaves of
         # one batch node alone, also in a task shared by many batch nodes
         # (the one task at depth 1 of size 7, whose 3,003 nodes are swept at
-        # every 29th budget)
+        # every 29th budget).  Chunks are recorded where they are formed,
+        # as stage 1 passes ``_screen`` only its survivors.
         step = 29 if size == 7 else 1
         open_batches, chunks = [], []  # chunks: (task, batch node, parents)
-        batch, screen = search._batch, search._screen
+        screened = []
+        batch, leaf_chunks, screen = search._batch, search._leaf_chunks, search._screen
 
         def recording_batch(config, ctx, node, partial, *rest):
             open_batches.append((tuple(node), partial))
@@ -921,19 +946,28 @@ class TestBatchedWalk:
             finally:
                 open_batches.pop()
 
+        def recording_chunks(runs, count, n):
+            node, _ = open_batches[-1]
+            assert runs.shape[1] == size - len(node) and (runs[:, 0] > node[-1]).all()
+            for r, last in leaf_chunks(runs, count, n):
+                assert len(r) <= 3
+                parents = {tuple(row) for row in runs[r, :-1].tolist()}
+                chunks.append((node[: depth or 2], node, len(parents)))
+                yield r, last
+
         def recording_screen(ctx, ratio, partial, cols):
             node, own = open_batches[-1]
             assert partial is own
             assert cols.shape[1] == size - len(node) and (cols[:, 0] > node[-1]).all()
-            parents = {tuple(row) for row in cols[:, :-1].tolist()}
-            chunks.append((node[: depth or 2], node, len(parents)))
+            screened.append(len(cols))
             return screen(ctx, ratio, partial, cols)
 
-        monkeypatch.setattr(search, "_SCREEN_CHUNK", 3)
+        monkeypatch.setattr(search, "_SCREEN_ENTRIES", 3 * GroupSpec(orders).order)
         monkeypatch.setattr(search, "_batch", recording_batch)
+        monkeypatch.setattr(search, "_leaf_chunks", recording_chunks)
         monkeypatch.setattr(search, "_screen", recording_screen)
         _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth, step)
-        assert len(found) == hits
+        assert len(found) == hits and screened
         assert max(parents for _, _, parents in chunks) > 1
         assert len(chunks) > len({node for _, node, _ in chunks})
         nodes_per_task = Counter(task for task, _ in {(t, node) for t, node, _ in chunks})
@@ -949,8 +983,10 @@ def _unit_orbits(spec):
 
 
 class TestTwoStageScreen:
-    """Stage 1 reads one character per orbit of t -> u*t; the exact values
-    on an orbit are Galois conjugates, equal when one of them is an integer."""
+    """The leaf screen reads one character of largest order, then one
+    character per orbit of t -> u*t, then every character; the exact
+    values on an orbit are Galois conjugates, equal when one of them is an
+    integer."""
 
     GROUPS = [(40,), (32,), (8, 8), (2, 2, 4, 4), (12,), (2, 6), (5, 5), (3, 9), (7, 7)]
 
@@ -981,28 +1017,57 @@ class TestTwoStageScreen:
                 integral += bool(known)
         assert integral > len(orbits)
 
-    @pytest.mark.parametrize("orders,size,thin", [
-        ((8, 8), 8, False), ((40,), 8, False), ((2, 2, 4, 4), 8, False), ((7, 7), 7, False),
-        ((8, 8), 8, True), ((2, 2, 4, 4), 8, True),
-    ])
-    def test_mask_equals_full_row_screen(self, orders, size, thin):
-        # random leaves (prefix id, x, a, b) plus the leaves {0, g, 2g, ...},
-        # among them subgroups, which pass, screened per prefix from its
-        # partial spectrum; thin=True keeps one stage-1 row, so stage 2 has
-        # leaves to prune
+    @pytest.mark.parametrize("orders", GROUPS + [(8, 2), (4, 2, 8), (2, 8, 4), (2,) * 6])
+    def test_lead_row_is_an_orbit_row_of_largest_order(self, orders):
+        # chi_t has the order of t, and the largest order is the exponent;
+        # element 1, the first orbit row, has the order of the last factor,
+        # less than that on (8, 2) and (2, 8, 4)
         spec = GroupSpec(orders)
         ctx = search._context(spec)
+        order = [len({spec.index_of(j * spec.coords[t]) for j in range(spec.exponent)})
+                 for t in range(spec.order)]
+        reps = ctx.orbit_rows.tolist()
+        assert order[ctx.lead_row] == max(order) == spec.exponent
+        assert ctx.lead_row == min(t for t in reps if order[t] == spec.exponent)
+        if orders in [(8, 2), (2, 8, 4)]:
+            assert order[reps[0]] < spec.exponent
+
+    CORPUS = [((8, 8), 8), ((40,), 8), ((2, 2, 4, 4), 8), ((7, 7), 7), ((2,) * 6, 8)]
+
+    @staticmethod
+    def _corpus(orders, size):
+        """Random leaves (prefix id, x, a, b) plus the leaves {0, g, 2g,
+        ...} and some subgroups spanned by three elements, which pass."""
+        spec = GroupSpec(orders)
         n = spec.order
-        ratio = size ** 2 / (n // size)
         rng = np.random.default_rng(n + size)
         prefixes = [sorted(rng.choice(n, size=size - 3, replace=False).tolist()) for _ in range(40)]
         leaves = [(rng.integers(40), *rng.choice(n, size=3, replace=False)) for _ in range(3000)]
+        spans = []
+        for gens in rng.choice(n, size=(20, 3)).tolist():
+            span = {0}
+            while (more := span | {spec.index_of(spec.coords[x] + spec.coords[g])
+                                   for x in span for g in gens}) != span:
+                span = more
+            spans.append(sorted(span))
         for g in range(1, n):
-            cyclic = sorted({spec.index_of(j * spec.coords[g]) for j in range(size)})
-            if len(cyclic) == size:
-                prefixes.append(cyclic[:-3])
-                leaves.append((len(prefixes) - 1, *cyclic[-3:]))
-        leaves = np.array(leaves, dtype=np.intp)
+            spans.append(sorted({spec.index_of(j * spec.coords[g]) for j in range(size)}))
+        for subset in spans:
+            if len(subset) == size:
+                prefixes.append([int(x) for x in subset[:-3]])
+                leaves.append((len(prefixes) - 1, *subset[-3:]))
+        return spec, prefixes, np.array(leaves, dtype=np.intp)
+
+    @pytest.mark.parametrize("orders,size,thin", [
+        ((8, 8), 8, False), ((40,), 8, False), ((2, 2, 4, 4), 8, False), ((7, 7), 7, False),
+        ((8, 8), 8, True), ((2, 2, 4, 4), 8, True), ((2,) * 6, 8, False),
+    ])
+    def test_mask_equals_full_row_screen(self, orders, size, thin):
+        # the corpus screened per prefix from its partial spectrum;
+        # thin=True keeps one stage-2 row, so stage 3 has leaves to prune
+        spec, prefixes, leaves = self._corpus(orders, size)
+        ctx = search._context(spec)
+        ratio = size ** 2 / (spec.order // size)
         if thin:
             rows = ctx.orbit_rows[:1]
             ctx = SimpleNamespace(char_matrix=ctx.char_matrix, orbit_rows=rows,
@@ -1019,6 +1084,41 @@ class TestTwoStageScreen:
         assert screened.tolist() == full.tolist()
         assert full.any() and not full.all()
         assert (stage1 & ~full).any() == thin
+
+    @pytest.mark.parametrize("orders,size", CORPUS)
+    def test_leaves_screened_as_by_full_rows(self, monkeypatch, orders, size):
+        # each corpus leaf (x, a, b) starts a run of 1-3 leaves (x, a, b + j)
+        # below its prefix; _test_leaves, in chunks of 7, exact-tests the
+        # leaves that pass _float_passes on every row, in order, and counts
+        # the rest as screened out; on Z2^6 the lead row passes about half
+        spec, prefixes, leaves = self._corpus(orders, size)
+        ctx = search._context(spec)
+        n = spec.order
+        config = SearchConfig(spec=spec, target_size=size, mode="pair", symmetry="translation")
+        ratio = size ** 2 / (n // size)
+        count = np.minimum(np.random.default_rng(n).integers(1, 4, len(leaves)), n - leaves[:, -1])
+        tested = []
+        monkeypatch.setattr(search, "pair_leaf_test", lambda spec, s: tested.append(s))
+        monkeypatch.setattr(search, "_SCREEN_ENTRIES", 7 * n)
+        expected, lead_kept, total = [], 0, 0
+        stats = SearchStats()
+        for p, prefix in enumerate(prefixes):
+            mine = leaves[:, 0] == p
+            runs, counts = leaves[mine, 1:], count[mine]
+            cols = np.repeat(runs, counts, axis=0)
+            cols[:, -1] += np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+            partial = ctx.char_matrix[:, prefix].sum(axis=1)
+            passes = search._float_passes(partial, ctx.char_matrix, cols, ratio)
+            lead_kept += int(search._float_passes(
+                partial[[ctx.lead_row]], ctx.char_matrix[[ctx.lead_row]], cols, ratio).sum())
+            expected += [ElementSet.from_indices([*prefix, *row]) for row in cols[passes].tolist()]
+            total += len(cols)
+            search._test_leaves(config, ctx, prefix, partial, runs, counts, stats, [])
+        assert tested == expected and 0 < len(expected) < total
+        assert stats.pruned_by_screen == total - len(expected)
+        assert stats.leaves_tested == len(expected) and stats.hits == 0
+        if orders == (2,) * 6:
+            assert lead_kept > total / 3
 
 
 class TestCheckpointing:
