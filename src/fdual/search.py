@@ -30,12 +30,11 @@ cut of the nodes' costs in DFS order at the budget gives every count, so no
 loop runs per node there.  The batch then float-screens the leaves the cut
 allows, from its node's partial spectrum, the sum of the node's character
 columns (prune only when the exact identity certainly fails), in chunks of
-at most _SCREEN_ENTRIES leaves times characters and in three stages: on
-one character of largest order, summed once per run of sibling leaves;
-then on one character per Galois orbit t -> u*t; then on every character.
-Each stage reads only the survivors of the one before, and the verdicts
-are those of the full screen bit for bit.  Survivors are canonically
-gated, then handed to the exact leaf test.  Every emitted certificate has
+at most _SCREEN_ENTRIES leaves times characters and in two stages: on one
+character of largest order, summed once per run of sibling leaves; then
+on every character, for the survivors of the first.  The verdicts are
+those of the full screen bit for bit.  Survivors are canonically gated,
+then handed to the exact leaf test.  Every emitted certificate has
 passed the exact integer check and primitivity for both sets.
 
 Frontier tasks run in chunks of consecutive tasks, one task first and then
@@ -68,6 +67,7 @@ import numpy as np
 
 from . import __version__
 from .abelian import (
+    MAX_GROUP_ORDER,
     ElementSet,
     GroupSpec,
     _aut_tables,
@@ -75,7 +75,6 @@ from .abelian import (
     _is_int,
     _sub_table,
     affine_reducer,
-    galois_classes,
     pairing_from_automorphism,
     standard_pairing,
 )
@@ -117,7 +116,8 @@ class SearchConfig:
     """Validated description of one search problem.
 
     target_size must divide |G| (otherwise the size law makes the search
-    vacuous) and self-dual mode additionally needs target_size^2 == |G|.
+    vacuous) and self-dual mode additionally needs target_size^2 == |G|;
+    |G| is at most MAX_GROUP_ORDER, as for the automorphism tables.
     frontier_depth controls task granularity: tasks are the surviving nodes
     at that depth and run independently.  target_size, frontier_depth and
     budget are integers, never bools, as in a checkpoint; any integer type
@@ -146,6 +146,8 @@ class SearchConfig:
             elif value is not None or name == "target_size":
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.spec.order
+        if n > MAX_GROUP_ORDER:
+            raise ValueError(f"searches support |G| <= {MAX_GROUP_ORDER}, got {n}")
         if self.target_size < 2:
             raise ValueError("target_size must be at least 2 to search")
         if n % self.target_size != 0:
@@ -262,14 +264,10 @@ class _SearchContext:
         everything = range(self.n)
         exponents = standard_pairing(spec).exponents(everything, everything)
         self.char_matrix = np.exp(2j * np.pi * exponents / spec.exponent)
-        # one nonzero character t per orbit of t -> u*t, u a unit mod m: its
-        # |chi_t(S)|^2 and those of its orbit are Galois conjugates
-        self.orbit_rows = galois_classes(spec)[0][1:]
-        self.orbit_matrix = self.char_matrix[self.orbit_rows]
-        # the first screen row: chi_t has the order of t, and an orbit of
+        # the first screen row: chi_t has the order of t, and a character of
         # largest order prunes the most; the least such t
         orders = np.lcm.reduce(np.array(spec.orders) // np.gcd(spec.coords, spec.orders), axis=1)
-        self.lead_row = int(self.orbit_rows[np.argmax(orders[self.orbit_rows])])
+        self.lead_row = int(np.argmax(orders))
         self.reducer = affine_reducer(spec)
 
 
@@ -281,6 +279,20 @@ def _context(spec: GroupSpec) -> _SearchContext:
 # ---------------------------------------------------------------------------
 # Leaf tests
 # ---------------------------------------------------------------------------
+
+
+def _exact_leaf(spec: GroupSpec, s: ElementSet) -> tuple | None:
+    """(standard pairing, nu_S, exact spectrum of S under it) for a leaf S,
+    or None when S is imprimitive or some |chi_t(S)|^2 is not an integer;
+    the common start of both leaf tests."""
+    pairing = standard_pairing(spec)
+    nu = _difference_counts(spec, s)
+    if not _primitive_from_nu(pairing, nu):
+        return None
+    spectrum = exact_spectrum(spec, pairing, s, nu)
+    if any(v is None for v in spectrum):
+        return None
+    return pairing, nu, spectrum
 
 
 def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
@@ -297,13 +309,10 @@ def self_dual_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     first, in lexicographic order of the images, goes through one
     ``certify`` call, which re-checks it.
     """
-    pairing0 = standard_pairing(spec)
-    nu = _difference_counts(spec, s)
-    if not _primitive_from_nu(pairing0, nu):
+    exact = _exact_leaf(spec, s)
+    if exact is None:
         return None
-    spectrum = exact_spectrum(spec, pairing0, s, nu)
-    if any(v is None for v in spectrum):
-        return None
+    pairing0, nu, spectrum = exact
     target = len(s) * nu
     e_arr = np.array(spectrum, dtype=np.int64)
     if sorted(spectrum) != sorted(target.tolist()):
@@ -326,14 +335,11 @@ def pair_leaf_test(spec: GroupSpec, s: ElementSet) -> Certificate | None:
     card = len(s)
     if card == 0 or n % card != 0:
         raise ValueError("|S| must be a nonzero divisor of |G|")
-    pairing = standard_pairing(spec)
-    nu = _difference_counts(spec, s)
-    if not _primitive_from_nu(pairing, nu):
+    exact = _exact_leaf(spec, s)
+    if exact is None:
         return None
+    pairing, _, spectrum = exact
     t_size = n // card
-    spectrum = exact_spectrum(spec, pairing, s, nu)
-    if any(v is None for v in spectrum):
-        return None
     s_sq = card * card
     w = []
     for v in spectrum:
@@ -460,6 +466,11 @@ def _walk(
         yield from _walk(config, ctx, node + [x], depth, stats, budget)
 
 
+# the most frontier tasks a search enumerates; a deeper frontier is refused
+# before it takes memory for tens of millions of tasks
+_MAX_TASKS = 1 << 20
+
+
 def _enumerate_frontier(
     config: SearchConfig, ctx: _SearchContext, stats: SearchStats
 ) -> list[tuple[int, ...]]:
@@ -467,15 +478,18 @@ def _enumerate_frontier(
 
     The roots and the nodes walked count toward stats; the walk has no
     budget, so the task universe is a function of the config alone, which
-    resume relies on.
+    resume relies on.  More than _MAX_TASKS tasks is a ValueError, raised
+    once the list passes that many.
     """
     roots = range(ctx.n - config.target_size + 1) if config.symmetry == "none" else range(1)
     stats.nodes_visited += len(roots)
-    return [
-        tuple(node)
-        for r in roots
-        for node in _walk(config, ctx, [r], config.frontier_depth, stats, None)
-    ]
+    nodes = (tuple(node) for r in roots
+             for node in _walk(config, ctx, [r], config.frontier_depth, stats, None))
+    tasks = list(itertools.islice(nodes, _MAX_TASKS + 1))
+    if len(tasks) > _MAX_TASKS:
+        raise ValueError(f"frontier_depth {config.frontier_depth} gives more than "
+                         f"{_MAX_TASKS} tasks; choose a smaller frontier_depth")
+    return tasks
 
 
 def enumerate_tasks(config: SearchConfig) -> list[tuple[int, ...]]:
@@ -513,22 +527,6 @@ def _float_passes(
     return _near_integers(_float_norms(partial, matrix, cols), ratio).all(axis=0)
 
 
-def _screen(ctx: _SearchContext, ratio: float, partial: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``_float_passes`` on every character, in two stages (stages 2 and 3
-    of ``_test_leaves``).
-
-    The first reads one nonzero character per orbit of t -> u*t
-    (``ctx.orbit_rows``).  Their values are Galois conjugates of the rest,
-    equal to them when integers, so it prunes nearly every leaf the full
-    screen prunes.  The second reads every character for the leaves the
-    first keeps.  Each row's value is computed by the same additions in
-    both, so the verdicts are those of one full-row screen, bit for bit.
-    """
-    keep = _float_passes(partial[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio)
-    keep[keep] = _float_passes(partial, ctx.char_matrix, cols[keep], ratio)
-    return keep
-
-
 def _leaf_chunks(
     runs: np.ndarray, count: np.ndarray, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -554,15 +552,15 @@ def _test_leaves(
     spectrum is the node's partial spectrum plus one character column per
     prefix element and b, added in that order.  The leaves are screened in
     chunks of _SCREEN_ENTRIES // |G| (``_leaf_chunks``), so that no
-    temporary holds more than _SCREEN_ENTRIES entries, in three stages.
+    temporary holds more than _SCREEN_ENTRIES entries, in two stages.
     Stage 1 reads one character, ``ctx.lead_row``: its partial plus prefix
-    is summed once per run, and each leaf adds its last column.  Stages 2
-    and 3 (``_screen``) read one character per Galois orbit and then every
-    character, for the leaves stage 1 keeps.  Every row's value is the
-    same additions in the same order in every stage, so the verdicts are
-    those of ``_float_passes`` on every character, bit for bit; the
-    float-screen error bound holds for any order of the additions.  Leaves
-    that pass are canonically gated, then exact-tested.
+    is summed once per run, and each leaf adds its last column.  Stage 2
+    reads every character (``_float_passes``) for the leaves stage 1
+    keeps.  Every row's value is the same additions in the same order in
+    both stages, so the verdicts are those of ``_float_passes`` on every
+    character, bit for bit; the float-screen error bound holds for any
+    order of the additions.  Leaves that pass are canonically gated, then
+    exact-tested.
     """
     test = self_dual_leaf_test if config.mode == "self_dual" else pair_leaf_test
     ratio = config.target_size ** 2 / config.partner_size
@@ -574,8 +572,7 @@ def _test_leaves(
         kept = _near_integers(np.abs(sums[r] + lead[last]) ** 2, ratio)
         cols = runs[r[kept]]
         cols[:, -1] = last[kept]
-        if len(cols):
-            cols = cols[_screen(ctx, ratio, partial, cols)]
+        cols = cols[_float_passes(partial, ctx.char_matrix, cols, ratio)]
         stats.pruned_by_screen += len(r) - len(cols)
         for row in cols.tolist():
             leaf = (*head, *row)

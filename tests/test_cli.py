@@ -389,14 +389,33 @@ class TestSearch:
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--jobs", "0", "jobs"), ("--jobs", "-2", "jobs"), ("--frontier-depth", "0", "depth"),
+        ("--group", "512", "searches support |G| <= 256, got 512"),
     ])
     def test_bad_search_option_writes_nothing(self, tmp_path, capsys, flag, value, named):
-        # refused with the configuration checks, before --out is created
+        # refused with the configuration checks, before --out is created;
+        # the last --group given is the one searched
         out = tmp_path / "r"
         assert main(["search", "--group", "4", "--size", "2", flag, value,
                      "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_deep_frontier_is_exit_2(self, tmp_path):
+        # depth 7 of a size-8 search of Z4 x Z2 x Z8 is C(62, 6) = 61,474,519
+        # tasks; the search is refused once the list passes 2^20 of them
+        # (about 2 s and 140 MB), before the checkpoint is first written
+        ck = tmp_path / "ck.json"
+        args = ["search", "--group", "4,2,8", "--size", "8", "--symmetry", "translation",
+                "--frontier-depth", "7", "--budget", "777", "--checkpoint", str(ck),
+                "--out", str(tmp_path / "r")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "fdual.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: frontier_depth 7 gives more than 1048576 tasks; choose a smaller "
+            "frontier_depth\n")
+        assert not ck.exists()
 
     @pytest.mark.parametrize("budget", [
         "1e400", "inf", "10^-1", "1e-3",

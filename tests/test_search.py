@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from fdual.abelian import (
     affine_reducer,
     aut_order,
     automorphism_group,
+    galois_classes,
     standard_pairing,
 )
 from fdual.cli import main
@@ -134,6 +134,14 @@ class TestConfig:
         assert type(same.target_size) is type(same.frontier_depth) is type(same.budget) is int
         assert same.config_hash() == cfg.config_hash()
 
+    def test_group_above_search_limit(self):
+        # the automorphism tables and the float-screen error bound need
+        # |G| <= 256; a translation search is refused too
+        with pytest.raises(ValueError, match=r"searches support \|G\| <= 256, got 512"):
+            SearchConfig(spec=GroupSpec((512,)), target_size=8, mode="pair",
+                         symmetry="translation")
+        assert SearchConfig(spec=GroupSpec((256,)), target_size=8, mode="pair").spec.order == 256
+
     def test_hash_ignores_budget_and_checkpoint(self):
         a = SearchConfig(spec=Z4, target_size=2, mode="pair", budget=100)
         b = SearchConfig(spec=Z4, target_size=2, mode="pair", checkpoint_path="x.json")
@@ -171,6 +179,28 @@ class TestTaskEnumeration:
         reducer = affine_reducer(Z2Z8)
         for t in tasks:
             assert t[0] == 0 and reducer.is_canonical(t)
+
+    def test_frontier_task_limit(self, monkeypatch, tmp_path):
+        # a frontier of more than _MAX_TASKS tasks is refused by
+        # enumerate_tasks and by run_search, which neither reads nor writes
+        # its checkpoint
+        cfg = SearchConfig(spec=Z2Z8, target_size=4, mode="pair", symmetry="translation",
+                           frontier_depth=2)
+        tasks = enumerate_tasks(cfg)
+        monkeypatch.setattr(search, "_MAX_TASKS", len(tasks))
+        assert enumerate_tasks(cfg) == tasks
+        monkeypatch.setattr(search, "_MAX_TASKS", len(tasks) - 1)
+        refusal = f"frontier_depth 2 gives more than {len(tasks) - 1} tasks"
+        with pytest.raises(ValueError, match=refusal):
+            enumerate_tasks(cfg)
+        path = tmp_path / "ck.json"
+        with pytest.raises(ValueError, match=refusal):
+            run_search(SearchConfig(**{**vars(cfg), "checkpoint_path": str(path)}))
+        assert not path.exists()
+        path.write_text("not a checkpoint")
+        with pytest.raises(ValueError, match=refusal):
+            run_search(SearchConfig(**{**vars(cfg), "checkpoint_path": str(path)}))
+        assert path.read_text() == "not a checkpoint"
 
     def test_frontier_covers_every_affine_orbit(self):
         # the canonical representative of every orbit of size-s subsets
@@ -839,7 +869,7 @@ def _sweep_budgets(orders, size, mode, symmetry, depth=None, step=1):
 
 class TestBatchedWalk:
     """The batched walk (one canonicity walk per level below a node of depth
-    size - 4, one cut of the node costs at the budget, a three-stage float
+    size - 4, one cut of the node costs at the budget, a two-stage float
     screen of each batch's own leaves) against the search walked one node
     at a time: identical counts, stop points and hit lists at every budget.
     Tasks start above depth size - 4 (size 6 with depth 1), at it (size 6,
@@ -933,11 +963,11 @@ class TestBatchedWalk:
         # one batch node alone, also in a task shared by many batch nodes
         # (the one task at depth 1 of size 7, whose 3,003 nodes are swept at
         # every 29th budget).  Chunks are recorded where they are formed,
-        # as stage 1 passes ``_screen`` only its survivors.
+        # as stage 1 passes the every-row screen only its survivors.
         step = 29 if size == 7 else 1
         open_batches, chunks = [], []  # chunks: (task, batch node, parents)
         screened = []
-        batch, leaf_chunks, screen = search._batch, search._leaf_chunks, search._screen
+        batch, leaf_chunks, passes = search._batch, search._leaf_chunks, search._float_passes
 
         def recording_batch(config, ctx, node, partial, *rest):
             open_batches.append((tuple(node), partial))
@@ -955,19 +985,19 @@ class TestBatchedWalk:
                 chunks.append((node[: depth or 2], node, len(parents)))
                 yield r, last
 
-        def recording_screen(ctx, ratio, partial, cols):
+        def recording_passes(partial, matrix, cols, ratio):
             node, own = open_batches[-1]
             assert partial is own
             assert cols.shape[1] == size - len(node) and (cols[:, 0] > node[-1]).all()
             screened.append(len(cols))
-            return screen(ctx, ratio, partial, cols)
+            return passes(partial, matrix, cols, ratio)
 
         monkeypatch.setattr(search, "_SCREEN_ENTRIES", 3 * GroupSpec(orders).order)
         monkeypatch.setattr(search, "_batch", recording_batch)
         monkeypatch.setattr(search, "_leaf_chunks", recording_chunks)
-        monkeypatch.setattr(search, "_screen", recording_screen)
+        monkeypatch.setattr(search, "_float_passes", recording_passes)
         _, _, found = _sweep_budgets(orders, size, mode, symmetry, depth, step)
-        assert len(found) == hits and screened
+        assert len(found) == hits and max(screened) > 0
         assert max(parents for _, _, parents in chunks) > 1
         assert len(chunks) > len({node for _, node, _ in chunks})
         nodes_per_task = Counter(task for task, _ in {(t, node) for t, node, _ in chunks})
@@ -982,11 +1012,18 @@ def _unit_orbits(spec):
     return {frozenset(images[:, t].tolist()) for t in range(spec.order)}
 
 
+def _element_orders(spec):
+    """The order of each element, counted from its multiples."""
+    return [len({spec.index_of(j * spec.coords[t]) for j in range(spec.exponent)})
+            for t in range(spec.order)]
+
+
 class TestTwoStageScreen:
-    """The leaf screen reads one character of largest order, then one
-    character per orbit of t -> u*t, then every character; the exact
-    values on an orbit are Galois conjugates, equal when one of them is an
-    integer."""
+    """The leaf screen reads one character of largest order, then every
+    character for the leaves it keeps.  The exact values on an orbit of
+    t -> u*t (``galois_classes``) are Galois conjugates, equal when one of
+    them is an integer, and the least element of largest order is the
+    least of its orbit."""
 
     GROUPS = [(40,), (32,), (8, 8), (2, 2, 4, 4), (12,), (2, 6), (5, 5), (3, 9), (7, 7)]
 
@@ -994,7 +1031,7 @@ class TestTwoStageScreen:
     def test_orbit_rows_are_orbit_minima(self, orders):
         spec = GroupSpec(orders)
         orbits = _unit_orbits(spec)
-        reps = search._context(spec).orbit_rows.tolist()
+        reps = galois_classes(spec)[0][1:].tolist()
         assert sorted(reps) == sorted(min(o) for o in orbits if 0 not in o)
 
     @pytest.mark.parametrize("orders", GROUPS)
@@ -1021,14 +1058,15 @@ class TestTwoStageScreen:
     def test_lead_row_is_an_orbit_row_of_largest_order(self, orders):
         # chi_t has the order of t, and the largest order is the exponent;
         # element 1, the first orbit row, has the order of the last factor,
-        # less than that on (8, 2) and (2, 8, 4)
+        # less than that on (8, 2) and (2, 8, 4); the least element of
+        # largest order is the least of its orbit, so it is an orbit row
         spec = GroupSpec(orders)
         ctx = search._context(spec)
-        order = [len({spec.index_of(j * spec.coords[t]) for j in range(spec.exponent)})
-                 for t in range(spec.order)]
-        reps = ctx.orbit_rows.tolist()
+        order = _element_orders(spec)
+        reps = galois_classes(spec)[0][1:].tolist()
         assert order[ctx.lead_row] == max(order) == spec.exponent
         assert ctx.lead_row == min(t for t in reps if order[t] == spec.exponent)
+        assert ctx.lead_row == order.index(max(order))
         if orders in [(8, 2), (2, 8, 4)]:
             assert order[reps[0]] < spec.exponent
 
@@ -1063,27 +1101,30 @@ class TestTwoStageScreen:
         ((8, 8), 8, True), ((2, 2, 4, 4), 8, True), ((2,) * 6, 8, False),
     ])
     def test_mask_equals_full_row_screen(self, orders, size, thin):
-        # the corpus screened per prefix from its partial spectrum;
-        # thin=True keeps one stage-2 row, so stage 3 has leaves to prune
+        # the corpus screened per prefix from its partial spectrum: the
+        # lead row, then every row for the leaves it keeps, keeps what
+        # every row keeps; thin=True leads with the least element of least
+        # nonzero order instead, which keeps more.  With thin=True, and on
+        # Z2^6 with the lead row, every row prunes leaves the first kept
         spec, prefixes, leaves = self._corpus(orders, size)
         ctx = search._context(spec)
         ratio = size ** 2 / (spec.order // size)
-        if thin:
-            rows = ctx.orbit_rows[:1]
-            ctx = SimpleNamespace(char_matrix=ctx.char_matrix, orbit_rows=rows,
-                                  orbit_matrix=ctx.char_matrix[rows])
+        order = _element_orders(spec)
+        lead = order.index(min(order[1:]), 1) if thin else ctx.lead_row
         full, stage1, screened = [], [], []
         for p, prefix in enumerate(prefixes):
             partial = ctx.char_matrix[:, prefix].sum(axis=1)
             cols = leaves[leaves[:, 0] == p, 1:]
             full.append(search._float_passes(partial, ctx.char_matrix, cols, ratio))
-            stage1.append(search._float_passes(
-                partial[ctx.orbit_rows], ctx.orbit_matrix, cols, ratio))
-            screened.append(search._screen(ctx, ratio, partial, cols))
+            kept = search._float_passes(partial[[lead]], ctx.char_matrix[[lead]], cols, ratio)
+            stage1.append(kept.copy())
+            kept[kept] = search._float_passes(partial, ctx.char_matrix, cols[kept], ratio)
+            screened.append(kept)
         full, stage1, screened = map(np.concatenate, (full, stage1, screened))
         assert screened.tolist() == full.tolist()
         assert full.any() and not full.all()
-        assert (stage1 & ~full).any() == thin
+        if thin or orders == (2,) * 6:
+            assert (stage1 & ~full).any()
 
     @pytest.mark.parametrize("orders,size", CORPUS)
     def test_leaves_screened_as_by_full_rows(self, monkeypatch, orders, size):
